@@ -9,6 +9,8 @@ rule stack is the baseline package.
 
 from __future__ import annotations
 
+import weakref
+
 from rulebots.logic import Atom, Engine, Int, KnowledgeBase, Struct, Term
 from rulebots.sim import CT, IdleIntent, RIFLE, WorldState
 from rulebots.agents.actions import Action, ActionExecutor, register_action_natives
@@ -48,7 +50,11 @@ class Mind:
             kb.declare_dynamic(name, arity)
         self.engine = Engine(kb, output=lambda s: None)
         self.engine.consult(RUNTIME_PRELUDE)
-        self.executor.prove = self.engine.prove
+        # The executor reaches the engine weakly: the engine's action natives
+        # already hold the executor, and a strong edge back would make each
+        # mind a reference cycle, left for the cyclic collector to free.
+        engine = weakref.proxy(self.engine)
+        self.executor.prove = lambda goal: engine.prove(goal)
         self.last_reason_tick = -REASON_PERIOD
 
     def on_round_start(self) -> None:

@@ -4,13 +4,19 @@ Every clause carries a birth generation and an optional death generation.
 A resolution stream captures the store's generation when it starts and
 only ever sees clauses alive at that point, so asserts and retracts made
 while a stream is open never change what that stream yields.
+
+A clause is compiled once into an immutable `ClauseTemplate`, and a
+program text once per process, so stores that consult the same text
+share its templates; a `StoredClause` adds only its store's lifetime.
 """
 
 from __future__ import annotations
 
+import functools
+
 from rulebots.logic.errors import NotPermittedError, TermTypeError
 from rulebots.logic.reader import read_program
-from rulebots.logic.terms import Atom, Struct, Term, collect_vars, functor_key
+from rulebots.logic.terms import TRUE, Struct, Term, Var, functor_key
 
 # Control constructs and builtins.  These names are owned by the solver:
 # they can be neither defined by clauses nor shadowed by natives.
@@ -50,14 +56,66 @@ RESERVED_PREDICATES: frozenset[tuple[str, int]] = frozenset(
 )
 
 
-class StoredClause:
-    __slots__ = ("head", "body", "var_ids", "seq", "birth", "death")
+class ClauseTemplate:
+    """A clause compiled once, shared by every store that holds it.
 
-    def __init__(self, head: Term, body: Term, seq: int, birth: int):
-        self.head = head
-        self.body = body
-        self.var_ids = tuple(v.id for v in collect_vars(Struct(":-", (head, body))))
-        self.seq = seq
+    Each variable becomes a frame slot: a plain int counting from 0 in
+    first-occurrence order, head first.  A compound holding slots becomes
+    a (name, args) tuple; a ground subterm is the parsed term itself,
+    shared and never copied.  `head` holds the head's argument patterns,
+    `body` the whole body, and `goals` the body split along the right
+    spine of ','/2, empty for a fact (a body of plain `true`).
+    """
+
+    __slots__ = ("key", "head", "body", "goals", "slots")
+
+    def __init__(self, head: Term, body: Term):
+        slots: dict[int, int] = {}
+        self.key = functor_key(head)
+        self.head = tuple(_pattern(a, slots) for a in head.args) if type(head) is Struct else ()
+        self.body = _pattern(body, slots)
+        goals = []
+        while type(body) is Struct and body.name == "," and len(body.args) == 2:
+            goals.append(_pattern(body.args[0], slots))
+            body = body.args[1]
+        if goals or body != TRUE:
+            goals.append(_pattern(body, slots))
+        self.goals = tuple(goals)
+        self.slots = len(slots)
+
+
+def _pattern(t: Term, slots: dict[int, int]):
+    """A term as a template: slot numbers for variables, ground parts shared."""
+    k = type(t)
+    if k is Var:
+        slot = slots.get(t.id)
+        if slot is None:
+            slot = slots[t.id] = len(slots)
+        return slot
+    if k is Struct:
+        args = tuple([_pattern(a, slots) for a in t.args])
+        if all(p is a for p, a in zip(args, t.args)):
+            return t
+        return (t.name, args)
+    return t
+
+
+# A match consults four texts (the prelude and up to three packages) into
+# every mind; the bound only keeps hosts that consult many one-off texts,
+# such as the REPL, from growing the cache without limit.
+@functools.lru_cache(maxsize=32)
+def _compile_program(text: str) -> tuple[ClauseTemplate, ...]:
+    """Parse and compile a program text; repeated texts share one compilation."""
+    return tuple(ClauseTemplate(head, body) for head, body in read_program(text))
+
+
+class StoredClause:
+    """One store's copy of a clause: its lifetime plus the shared template."""
+
+    __slots__ = ("template", "birth", "death")
+
+    def __init__(self, template: ClauseTemplate, birth: int):
+        self.template = template
         self.birth = birth
         self.death: int | None = None
 
@@ -90,7 +148,6 @@ class KnowledgeBase:
         self._preds: dict[tuple[str, int], _Predicate] = {}
         self._natives: dict[tuple[str, int], NativePredicate] = {}
         self.generation = 0
-        self._seq = 0
 
     # -- interning ---------------------------------------------------------
 
@@ -99,12 +156,6 @@ class KnowledgeBase:
 
     def native(self, key: tuple[str, int]) -> NativePredicate | None:
         return self._natives.get(key)
-
-    def native_keys(self) -> list[tuple[str, int]]:
-        return sorted(self._natives)
-
-    def defined_keys(self) -> list[tuple[str, int]]:
-        return sorted(self._preds)
 
     # -- updates -----------------------------------------------------------
 
@@ -123,12 +174,14 @@ class KnowledgeBase:
         if key is None:
             raise TermTypeError("callable clause head", head)
         self._check_writable(key, "define")
-        pred = self._preds.get(key)
+        return self._store(ClauseTemplate(head, body), front)
+
+    def _store(self, template: ClauseTemplate, front: bool) -> StoredClause:
+        pred = self._preds.get(template.key)
         if pred is None:
             pred = _Predicate()
-            self._preds[key] = pred
-        clause = StoredClause(head, body, self._seq, self._bump())
-        self._seq += 1
+            self._preds[template.key] = pred
+        clause = StoredClause(template, self._bump())
         if front:
             pred.clauses.insert(0, clause)
         else:
@@ -160,19 +213,14 @@ class KnowledgeBase:
     # -- loading -----------------------------------------------------------
 
     def consult(self, text: str) -> list[StoredClause]:
-        """Parse and add a clause sequence.  Parsing happens first, so a
-        syntax error leaves the store untouched."""
-        parsed = read_program(text)
-        for head, _ in parsed:
-            key = functor_key(head)
-            self._check_writable(key, "define")
-        return [self.add_clause(h, b) for h, b in parsed]
-
-    def visible_clauses(self, key: tuple[str, int], generation: int) -> list[StoredClause]:
-        pred = self._preds.get(key)
-        if pred is None:
-            return []
-        return [c for c in pred.clauses if c.alive_at(generation)]
+        """Add a program's clauses.  Parsing and the permission checks come
+        first, so an error leaves the store untouched.  Each distinct text
+        is parsed and compiled once per process; every store that consults
+        it shares the compiled templates."""
+        templates = _compile_program(text)
+        for template in templates:
+            self._check_writable(template.key, "define")
+        return [self._store(template, False) for template in templates]
 
     def retract_all(self, name: str, arity: int):
         """Kill every live clause of a predicate (keeps the declaration)."""
@@ -182,13 +230,3 @@ class KnowledgeBase:
         for c in pred.clauses:
             if c.death is None:
                 c.death = self._bump()
-
-    def count_clauses(self, name: str, arity: int) -> int:
-        pred = self._preds.get((name, arity))
-        if pred is None:
-            return 0
-        return sum(1 for c in pred.clauses if c.death is None)
-
-
-def atom(name: str) -> Atom:
-    return Atom(name)

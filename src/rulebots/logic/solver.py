@@ -5,6 +5,11 @@ binding store with a trail.  Each clause activation gets its own cut
 flag, so a cut prunes alternatives back to the clause that contains it
 and never further.  A stream snapshots the store generation when it
 starts; database changes made while it is open are invisible to it.
+
+Clauses are resolved from their compiled templates (see
+`database.ClauseTemplate`): a goal is unified directly against the head
+pattern, filling a fresh frame of slots, and each body goal is built
+from that frame only when resolution reaches it.
 """
 
 from __future__ import annotations
@@ -17,13 +22,13 @@ from rulebots.logic.errors import (
     EvaluationError,
     ExistenceError,
     InstantiationError,
+    NotPermittedError,
     TermTypeError,
 )
 from rulebots.logic.reader import read_term, split_clause
 from rulebots.logic.terms import (
     INT_MAX,
     INT_MIN,
-    TRUE,
     Atom,
     Int,
     Struct,
@@ -137,22 +142,20 @@ class _Machine:
 
     def reify_copy(self, t: Term) -> Term:
         """Deep copy under current bindings with unbound vars renamed fresh."""
-        mapping: dict[int, Var] = {}
+        return self._copy(t, {})
 
-        def walk(x: Term) -> Term:
-            x = self.deref(x)
-            k = type(x)
-            if k is Var:
-                v = mapping.get(x.id)
-                if v is None:
-                    v = fresh_var(x.name)
-                    mapping[x.id] = v
-                return v
-            if k is Struct:
-                return Struct(x.name, tuple(walk(a) for a in x.args))
-            return x
-
-        return walk(t)
+    def _copy(self, x: Term, mapping: dict[int, Var]) -> Term:
+        x = self.deref(x)
+        k = type(x)
+        if k is Var:
+            v = mapping.get(x.id)
+            if v is None:
+                v = fresh_var(x.name)
+                mapping[x.id] = v
+            return v
+        if k is Struct:
+            return Struct(x.name, tuple([self._copy(a, mapping) for a in x.args]))
+        return x
 
     def term_equal(self, a: Term, b: Term) -> bool:
         stack = [(a, b)]
@@ -232,27 +235,70 @@ class _Machine:
 
     # -- resolution --------------------------------------------------------
 
-    def rename(self, clause) -> tuple[Term, Term]:
-        if not clause.var_ids:
-            return clause.head, clause.body
-        mapping = {vid: fresh_var() for vid in clause.var_ids}
-
-        def walk(x: Term) -> Term:
-            k = type(x)
-            if k is Var:
-                return mapping.get(x.id, x)
-            if k is Struct:
-                return Struct(x.name, tuple(walk(a) for a in x.args))
-            return x
-
-        return walk(clause.head), walk(clause.body)
-
-    def solve(self, goal: Term, depth: int, cut: _CutFlag):
+    def count_step(self, depth: int):
+        """One resolution step at `depth`: a goal entered, a ','/2 node
+        entered or a fact's `true`."""
         self.steps += 1
         if self.steps > self.max_steps:
             raise BudgetExceededError(f"resolution step budget exceeded ({self.max_steps})")
         if depth > self.max_depth:
             raise BudgetExceededError(f"resolution depth limit exceeded ({self.max_depth})")
+
+    def match(self, p, t: Term, frame: list) -> bool:
+        """Unify a clause-template pattern with a goal term.
+
+        The first occurrence of a slot takes the goal's subterm as it is:
+        no new variable, no trail entry.  A later occurrence unifies with
+        what the slot holds, occurs-check included.
+        """
+        k = type(p)
+        if k is int:
+            got = frame[p]
+            if got is None:
+                frame[p] = t
+                return True
+            return self.unify(got, t)
+        t = self.deref(t)
+        kt = type(t)
+        if kt is Var:
+            if k is tuple:
+                p = self.build(p, frame)
+                if self._occurs(t.id, p):
+                    return False
+            self.bind[t.id] = p
+            self.trail.append(t.id)
+            return True
+        if k is tuple:
+            name, args = p
+            if kt is not Struct or t.name != name or len(t.args) != len(args):
+                return False
+            return self.match_args(args, t.args, frame)
+        if k is Atom:
+            return kt is Atom and t.name == p.name
+        if k is Int:
+            return kt is Int and t.value == p.value
+        return self.unify(p, t)
+
+    def match_args(self, patterns: tuple, args: tuple, frame: list) -> bool:
+        for p, a in zip(patterns, args):
+            if not self.match(p, a, frame):
+                return False
+        return True
+
+    def build(self, p, frame: list) -> Term:
+        """Instantiate a pattern from the frame; an empty slot gets a fresh variable."""
+        k = type(p)
+        if k is int:
+            v = frame[p]
+            if v is None:
+                v = frame[p] = fresh_var()
+            return v
+        if k is tuple:
+            return Struct(p[0], tuple([self.build(a, frame) for a in p[1]]))
+        return p
+
+    def solve(self, goal: Term, depth: int, cut: _CutFlag):
+        self.count_step(depth)
         g = self.deref(goal)
         k = type(g)
         if k is Var:
@@ -277,17 +323,39 @@ class _Machine:
         snap = self.snap
         local = _CutFlag()
         trail = self.trail
+        depth += 1
         for clause in pred.clauses:
             if not clause.alive_at(snap):
                 continue
             if local.cut:
                 return
             mark = len(trail)
-            head, body = self.rename(clause)
-            if self.unify(g, head):
-                yield from self.solve(body, depth + 1, local)
+            template = clause.template
+            frame = [None] * template.slots
+            if self.match_args(template.head, args, frame):
+                goals = template.goals
+                if not goals:  # a fact; its body `true` costs one step
+                    self.count_step(depth)
+                    yield
+                elif len(goals) == 1:
+                    yield from self.solve(self.build(goals[0], frame), depth, local)
+                else:
+                    yield from self.solve_body(goals, 0, frame, depth, local)
             self.undo(mark)
             if local.cut:
+                return
+
+    def solve_body(self, goals: tuple, i: int, frame: list, depth: int, cut: _CutFlag):
+        """Goals i.. of a clause body, run as the right-nested conjunction
+        they were read from: one step for each ','/2 node entered."""
+        self.count_step(depth)
+        last = len(goals) - 1
+        for _ in self.solve(self.build(goals[i], frame), depth, cut):
+            if i + 1 == last:
+                yield from self.solve(self.build(goals[last], frame), depth, cut)
+            else:
+                yield from self.solve_body(goals, i + 1, frame, depth, cut)
+            if cut.cut:
                 return
 
     def call_native(self, native: NativePredicate, args: tuple):
@@ -455,8 +523,7 @@ def _assert_clause(m: _Machine, args, front: bool):
     td = m.deref(t)
     if type(td) is Var:
         raise InstantiationError("unbound variable in assert")
-    clause = m.reify_copy(td)
-    head, body = split_clause(clause)
+    head, body = split_clause(m.resolve(td))
     if type(head) not in (Atom, Struct):
         raise TermTypeError("callable clause head", head)
     m.kb.add_clause(head, body, front=front)
@@ -473,6 +540,9 @@ def _bi_asserta(m: _Machine, args, depth, cut):
 
 
 def _bi_retract(m: _Machine, args, depth, cut):
+    """Remove the first clause that unifies.  Only clauses born at or before
+    the query's snapshot and still live are candidates: a clause the query
+    cannot see is never removed, and an earlier removal is always seen."""
     (t,) = args
     td = m.deref(t)
     if type(td) is Var:
@@ -482,18 +552,18 @@ def _bi_retract(m: _Machine, args, depth, cut):
         raise TermTypeError("callable clause head", phead)
     key = (phead.name, len(phead.args)) if type(phead) is Struct else (phead.name, 0)
     if key in RESERVED_PREDICATES or m.kb.native(key) is not None:
-        from rulebots.logic.errors import NotPermittedError
-
         raise NotPermittedError(f"cannot retract from protected predicate {key[0]}/{key[1]}")
     pred = m.kb.lookup(key)
     if pred is None:
         return
+    pargs = phead.args if type(phead) is Struct else ()
     for clause in list(pred.clauses):
-        if clause.death is not None:
+        if clause.death is not None or clause.birth > m.snap:
             continue
+        template = clause.template
+        frame = [None] * template.slots
         mark = len(m.trail)
-        head, body = m.rename(clause)
-        if m.unify(phead, head) and m.unify(pbody, body):
+        if m.match_args(template.head, pargs, frame) and m.match(template.body, pbody, frame):
             m.kb.kill_clause(clause)
             yield
             m.undo(mark)
@@ -575,10 +645,6 @@ class SolutionStream:
         self._names = names
         self._gen = machine.solve(goal, 0, _CutFlag())
         self._done = False
-
-    @property
-    def snapshot_generation(self) -> int:
-        return self._machine.snap
 
     def next_solution(self) -> dict[str, Term] | None:
         if self._done:

@@ -15,10 +15,6 @@ import itertools
 _var_ids = itertools.count(1)
 
 
-def next_var_id() -> int:
-    return next(_var_ids)
-
-
 def fresh_var(name: str | None = None) -> "Var":
     return Var(next(_var_ids), name)
 
@@ -95,9 +91,7 @@ class Struct(Term):
 
 
 TRUE = Atom("true")
-FAIL = Atom("fail")
 NIL = Atom("[]")
-CUT = Atom("!")
 
 # 64-bit signed integer domain for arithmetic and literals.
 INT_MIN = -(2**63)

@@ -32,6 +32,9 @@ CASES = [
     ("occurs_check_direct", "", "X = f(X)", []),
     ("occurs_check_via_alias", "", "f(X, g(X)) = f(Y, Y)", []),
     ("unify_list_split", "", "[H|T] = [1,2,3]", [{"H": "1", "T": "[2,3]"}]),
+    # the head's slot takes the query variable itself, so an answer left
+    # unbound resolves to that variable
+    ("unbound_answer_is_the_query_variable", "p(_).", "p(X)", [{"X": "X"}]),
     ("not_unify_holds", "", "1 \\= 2", [{}]),
     ("not_unify_fails_when_unifiable", "", "f(A, B) \\= f(1, 2)", []),
     # -- backtracking order -------------------------------------------
@@ -85,6 +88,12 @@ CASES = [
     ("retract_removes_one_copy_per_call", "d(1). d(1).",
      "retract(d(1)), retract(d(1)), \\+ retract(d(1))", [{}]),
     ("retract_unmatched_fails", "d(1).", "retract(d(2))", []),
+    # retract only removes clauses born at or before the query's snapshot
+    # and still live: never one the query cannot see
+    ("retract_skips_clause_asserted_by_query", "d(0).",
+     "assertz(d(1)), retract(d(1))", []),
+    ("retract_takes_clause_born_before_query", "d(0).",
+     "assertz(d(0)), retract(d(0)), \\+ retract(d(0))", [{}]),
     # -- findall ------------------------------------------------------
     ("findall_collects_in_order", "p(3). p(1). p(2).", "findall(_V, p(_V), L)",
      [{"L": "[3,1,2]"}]),

@@ -1,0 +1,45 @@
+"""A finished match is freed by reference counting alone.
+
+Minds, engines and the solver's streams must not form reference cycles:
+a cycle waits for the cyclic collector, which runs less often the fewer
+containers the solver allocates, so a finished match's objects would
+linger and raise the peak memory of a long experiment.
+"""
+
+import gc
+
+import pytest
+
+from rulebots.match import ControllerSpec, MatchConfig, run_match
+
+FULL_STACK = ("baseline", "cs_rules", "warehouse_tactics")
+
+
+def cyclic_garbage_after(config: MatchConfig) -> int:
+    """Objects only the cyclic collector could free after one match."""
+    run_match(MatchConfig(map_name=config.map_name, seed=config.seed, rounds=1,
+                          ct=config.ct, t=config.t))  # warm caches and lazy imports
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = run_match(config)
+        assert len(result.rounds) == config.rounds
+        del result
+        return gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize(
+    "side",
+    [ControllerSpec("native"), ControllerSpec("scripted", FULL_STACK)],
+    ids=["native", "scripted-full-stack"],
+)
+def test_match_leaves_no_cyclic_garbage(side):
+    config = MatchConfig(map_name="warehouse", seed=3, rounds=12, ct=side, t=side)
+    assert cyclic_garbage_after(config) == 0

@@ -12,6 +12,7 @@ from rulebots.logic import (
     Int,
     KnowledgeBase,
     NotPermittedError,
+    ParseError,
     Struct,
     TermTypeError,
 )
@@ -264,3 +265,77 @@ def test_solution_stream_is_resumable():
     second = stream.next_solution()
     assert second["X"] == Int(2)
     assert stream.next_solution() is None
+
+
+# -- step accounting ------------------------------------------------------
+
+MEMBER = "mem(X, [X|_]). mem(X, [_|T]) :- mem(X, T)."
+
+# (program, query, solutions, steps to enumerate every solution).  One step
+# per goal entered, per ','/2 node entered and per fact's `true`.  The
+# counts decide which queries a step budget stops, so a solver change
+# must leave them exactly as they are.
+STEP_COUNTS = [
+    (MEMBER, "mem(X, [1,2,3])", 3, 7),
+    (MEMBER + " first(X) :- mem(X, [5,6,7]), !.", "first(X)", 1, 5),
+    ("mx(X, Y, X) :- X >= Y, !. mx(_, Y, Y).", "mx(3, 5, M)", 1, 4),
+    ("e(a, b). e(a, c). e(b, d).", "e(a, X), e(X, Y)", 1, 7),
+    ("n(1). n(2).", "findall(_I, (n(_), findall(_B, n(_B), _I)), L)", 1, 13),
+    ("c(1). c(2).", "(c(X) -> R = X ; R = none)", 1, 4),
+    ("p(1).", "\\+ \\+ p(X), X = 7", 1, 6),
+    ("d(1). d(1).", "retract(d(1)), retract(d(1)), \\+ retract(d(1))", 1, 6),
+    ("cnt(0) :- !. cnt(N) :- M is N-1, cnt(M).", "cnt(40)", 1, 122),
+    ("reach(X, X). reach(X, Z) :- edg(X, Y), reach(Y, Z). "
+     "edg(a, b). edg(b, c). edg(c, d).", "reach(a, Z)", 4, 19),
+    ("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).", "app(X, Y, [1,2,3])", 4, 8),
+]
+
+
+@pytest.mark.parametrize("program,query,solutions,steps", STEP_COUNTS,
+                         ids=[q for _, q, _, _ in STEP_COUNTS])
+def test_step_counts_are_pinned(program, query, solutions, steps):
+    exact = Engine(max_steps=steps, output=lambda s: None)
+    exact.consult(program)
+    assert len(exact.run(query)) == solutions
+    short = Engine(max_steps=steps - 1, output=lambda s: None)
+    short.consult(program)
+    with pytest.raises(BudgetExceededError):
+        short.run(query)
+
+
+# -- compiled programs shared between engines -----------------------------
+
+SHARED = "s(1). s(2). twice(X, Y) :- s(X), Y is X * 2."
+
+
+def test_engines_consulting_one_text_keep_separate_stores():
+    a, b = engine(SHARED), engine(SHARED)
+    a.run("assertz(s(3))")
+    b.run("retract(s(1))")
+    assert values(a.run("s(X)"), "X") == [Int(1), Int(2), Int(3)]
+    assert values(b.run("s(X)"), "X") == [Int(2)]
+    assert values(a.run("twice(_, Y)"), "Y") == [Int(2), Int(4), Int(6)]
+    assert values(engine(SHARED).run("s(X)"), "X") == [Int(1), Int(2)]
+
+
+def test_syntax_error_leaves_store_untouched_after_shared_consult():
+    engine(SHARED)
+    e = engine(SHARED)
+    for _ in range(2):  # a failed parse is never cached
+        with pytest.raises(ParseError):
+            e.consult("s(9). s(")
+    assert values(e.run("s(X)"), "X") == [Int(1), Int(2)]
+
+
+def test_shared_text_still_checks_each_engines_natives():
+    engine("owned(1). other(2).")
+    kb = KnowledgeBase()
+    kb.register_native("owned", 1, lambda x: [None])
+    e = Engine(kb, output=lambda s: None)
+    with pytest.raises(NotPermittedError):
+        e.consult("owned(1). other(2).")
+    with pytest.raises(ExistenceError):
+        e.run("other(X)")
+    for _ in range(2):
+        with pytest.raises(NotPermittedError):
+            engine().consult("call(X) :- X.")
