@@ -65,13 +65,15 @@ class ClauseTemplate:
     shared and never copied.  `head` holds the head's argument patterns,
     `body` the whole body, and `goals` the body split along the right
     spine of ','/2, empty for a fact (a body of plain `true`).
+    `source_body` keeps the parsed body for static checks.
     """
 
-    __slots__ = ("key", "head", "body", "goals", "slots")
+    __slots__ = ("key", "head", "body", "goals", "slots", "source_body")
 
     def __init__(self, head: Term, body: Term):
         slots: dict[int, int] = {}
         self.key = functor_key(head)
+        self.source_body = body
         self.head = tuple(_pattern(a, slots) for a in head.args) if type(head) is Struct else ()
         self.body = _pattern(body, slots)
         goals = []
@@ -101,10 +103,11 @@ def _pattern(t: Term, slots: dict[int, int]):
 
 
 # A match consults four texts (the prelude and up to three packages) into
-# every mind; the bound only keeps hosts that consult many one-off texts,
-# such as the REPL, from growing the cache without limit.
+# every mind, and the package validator reads the same compilations; the
+# bound only keeps hosts that consult many one-off texts, such as the REPL,
+# from growing the cache without limit.
 @functools.lru_cache(maxsize=32)
-def _compile_program(text: str) -> tuple[ClauseTemplate, ...]:
+def compile_program(text: str) -> tuple[ClauseTemplate, ...]:
     """Parse and compile a program text; repeated texts share one compilation."""
     return tuple(ClauseTemplate(head, body) for head, body in read_program(text))
 
@@ -217,7 +220,7 @@ class KnowledgeBase:
         first, so an error leaves the store untouched.  Each distinct text
         is parsed and compiled once per process; every store that consults
         it shares the compiled templates."""
-        templates = _compile_program(text)
+        templates = compile_program(text)
         for template in templates:
             self._check_writable(template.key, "define")
         return [self._store(template, False) for template in templates]

@@ -711,16 +711,6 @@ class Engine:
         stream = SolutionStream(self._machine(), goal, {})
         return stream.next_solution() is not None
 
-    def retract(self, pattern: Term) -> bool:
-        """Remove the first clause matching the pattern.  False if none does."""
-        m = self._machine()
-        for _ in _bi_retract(m, (pattern,), 0, _CutFlag()):
-            return True
-        return False
-
-    def eval_arith(self, expr: Term) -> int:
-        return self._machine().eval_arith(expr)
-
 
 def unify_terms(a: Term, b: Term) -> dict[int, Term] | None:
     """Most general unifier of two terms as an id -> term map, or None."""

@@ -10,7 +10,7 @@ from rulebots.logic import LogicError
 from rulebots.match.config import MatchConfig, parse_controller
 from rulebots.match.experiment import ExperimentConfig, run_experiment, write_report
 from rulebots.match.match import run_match
-from rulebots.match.perf import measure_performance, summary_text
+from rulebots.match.perf import summary_text, timed_match
 from rulebots.match.repl import Repl
 from rulebots.match.replay import TraceError, replay, write_trace
 from rulebots.rules import PackageError, load_package, validate_stack
@@ -69,13 +69,13 @@ def _cmd_run(args) -> int:
             t=parse_controller(args.t),
         )
         if args.perf:
-            report = measure_performance(config)
+            report, result = timed_match(config)
             print(f"match {match_index} (seed {config.seed}) perf:")
             print(summary_text(report))
-        result = run_match(config)
+        else:
+            result = run_match(config)
         c = result.counts
-        for i in range(4):
-            counts_total[i] += c[i]
+        counts_total = [total + n for total, n in zip(counts_total, c)]
         print(
             f"match {match_index} seed {config.seed}: "
             f"CT {c.ct_wins} ({c.ct_goal_wins} goal), T {c.t_wins} ({c.t_goal_wins} goal)"

@@ -64,19 +64,17 @@ def _controller(kind: str, packages: tuple[str, ...]) -> ControllerSpec:
 
 
 def match_configs(config: ExperimentConfig) -> list[MatchConfig]:
-    configs = []
-    for pairing_index, (ct_kind, t_kind) in enumerate(PAIRINGS):
-        for match_index in range(config.matches):
-            configs.append(
-                MatchConfig(
-                    map_name=config.map_name,
-                    seed=config.seed + pairing_index + match_index,
-                    rounds=config.rounds,
-                    ct=_controller(ct_kind, config.packages),
-                    t=_controller(t_kind, config.packages),
-                )
-            )
-    return configs
+    return [
+        MatchConfig(
+            map_name=config.map_name,
+            seed=config.seed + pairing_index + match_index,
+            rounds=config.rounds,
+            ct=_controller(ct_kind, config.packages),
+            t=_controller(t_kind, config.packages),
+        )
+        for pairing_index, (ct_kind, t_kind) in enumerate(PAIRINGS)
+        for match_index in range(config.matches)
+    ]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

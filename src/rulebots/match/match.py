@@ -47,18 +47,12 @@ def build_match(config: MatchConfig):
     return world, boards, minds
 
 
-def run_match(config: MatchConfig) -> MatchResult:
+def run_match(config: MatchConfig, probe=None) -> MatchResult:
     world, boards, minds = build_match(config)
-    rounds = []
-    tally = [0, 0, 0, 0]
-    for round_no in range(config.rounds):
-        result = run_round(world, minds, boards, round_no)
-        rounds.append(result)
-        outcome = result.outcome
-        if outcome.winner == CT:
-            tally[0] += 1
-            tally[2] += int(outcome.goal_fulfilled)
-        else:
-            tally[1] += 1
-            tally[3] += int(outcome.goal_fulfilled)
-    return MatchResult(config, tuple(rounds), WinCounts(*tally), world.map.source_hash)
+    rounds = tuple(run_round(world, minds, boards, n, probe) for n in range(config.rounds))
+    ct = [r.outcome for r in rounds if r.outcome.winner == CT]
+    t = [r.outcome for r in rounds if r.outcome.winner != CT]
+    counts = WinCounts(
+        len(ct), len(t), sum(o.goal_fulfilled for o in ct), sum(o.goal_fulfilled for o in t)
+    )
+    return MatchResult(config, rounds, counts, world.map.source_hash)

@@ -8,8 +8,7 @@ import time
 from dataclasses import dataclass, replace
 
 from rulebots.match.config import ControllerSpec, MatchConfig
-from rulebots.match.match import build_match
-from rulebots.match.round import run_round
+from rulebots.match.match import MatchResult, run_match
 
 
 @dataclass(frozen=True)
@@ -51,52 +50,44 @@ class PerfReport:
         return (self.total_ms - self.native_total_ms) / self.native_total_ms
 
 
-def _timed_match(config: MatchConfig) -> tuple[list[float], list[float]]:
-    world, boards, minds = build_match(config)
-    scripted = {bot_id for bot_id, mind in minds.items() if mind.kind == "scripted"}
-    reasoning: list[float] = []
-    simulation: list[float] = []
-    for round_no in range(config.rounds):
-        if round_no > 0:
-            world.reset_round(round_no)
-        for board in boards.values():
-            board.clear()
-        for bot_id in sorted(minds):
-            minds[bot_id].on_round_start()
-        limit = world.config.round_ticks + 8
-        for _ in range(limit):
-            if world.outcome is not None:
-                break
-            reason = 0.0
-            tick_start = time.perf_counter()
-            intents = {}
-            for bot_id in sorted(minds):
-                if bot_id in scripted:
-                    t0 = time.perf_counter()
-                    intents[bot_id] = minds[bot_id].tick_agent()
-                    reason += time.perf_counter() - t0
-                else:
-                    intents[bot_id] = minds[bot_id].tick_agent()
-            world.step(intents)
-            elapsed = time.perf_counter() - tick_start
-            reasoning.append(reason * 1000.0)
-            simulation.append(max(0.0, elapsed - reason) * 1000.0)
-        if world.outcome is None:
-            raise RuntimeError(f"round did not finish within {limit} ticks")
-    return reasoning, simulation
+class _TickTimer:
+    """run_round probe: each tick's wall time inside scripted minds, and the rest."""
+
+    def __init__(self):
+        self.reasoning: list[float] = []
+        self.simulation: list[float] = []
+
+    def tick_started(self) -> None:
+        self._reason = 0.0
+        self._start = time.perf_counter()
+
+    def tick_agent(self, mind):
+        if mind.kind != "scripted":
+            return mind.tick_agent()
+        t0 = time.perf_counter()
+        intent = mind.tick_agent()
+        self._reason += time.perf_counter() - t0
+        return intent
+
+    def tick_ended(self) -> None:
+        elapsed = time.perf_counter() - self._start
+        self.reasoning.append(self._reason * 1000.0)
+        self.simulation.append(max(0.0, elapsed - self._reason) * 1000.0)
+
+
+def timed_match(config: MatchConfig) -> tuple[PerfReport, MatchResult]:
+    """Play the match once with its ticks timed, then an all-native reference."""
+    timer = _TickTimer()
+    result = run_match(config, timer)
+    native = ControllerSpec("native")
+    t0 = time.perf_counter()
+    run_match(replace(config, ct=native, t=native))
+    native_total_ms = (time.perf_counter() - t0) * 1000.0
+    return PerfReport(tuple(timer.reasoning), tuple(timer.simulation), native_total_ms), result
 
 
 def measure_performance(config: MatchConfig) -> PerfReport:
-    reasoning, simulation = _timed_match(config)
-    native_config = replace(
-        config, ct=ControllerSpec("native"), t=ControllerSpec("native")
-    )
-    t0 = time.perf_counter()
-    world, boards, minds = build_match(native_config)
-    for round_no in range(native_config.rounds):
-        run_round(world, minds, boards, round_no)
-    native_total_ms = (time.perf_counter() - t0) * 1000.0
-    return PerfReport(tuple(reasoning), tuple(simulation), native_total_ms)
+    return timed_match(config)[0]
 
 
 def summary_text(report: PerfReport) -> str:

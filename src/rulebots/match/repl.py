@@ -8,6 +8,7 @@ from rulebots.logic import LogicError, term_str
 from rulebots.logic.reader import read_term
 from rulebots.match.config import ControllerSpec, MatchConfig
 from rulebots.match.match import build_match
+from rulebots.match.round import play_tick, start_round
 
 HELP = """\
 Enter a query per line, terminated by enter; variables print per solution.
@@ -31,8 +32,7 @@ class Repl:
             t=ControllerSpec("scripted", tuple(packages)),
         )
         self.world, self.boards, self.minds = build_match(config)
-        for bot_id in sorted(self.minds):
-            self.minds[bot_id].on_round_start()
+        start_round(self.world, self.minds, self.boards, 0)
         self.out = out if out is not None else sys.stdout
         self.engine = self.minds[0].engine
 
@@ -45,8 +45,7 @@ class Repl:
                 self.write(f"round over: {self.world.outcome.winner} "
                            f"wins by {self.world.outcome.cause}\n")
                 return
-            intents = {b: self.minds[b].tick_agent() for b in sorted(self.minds)}
-            self.world.step(intents)
+            play_tick(self.world, self.minds)
         self.write(f"tick {self.world.tick}, phase {self.world.phase}\n")
 
     def state(self) -> None:

@@ -8,8 +8,8 @@ is a warning because asserting before calling still works.
 
 from __future__ import annotations
 
-from rulebots.logic import Atom, Int, Struct, Term, Var, read_program
-from rulebots.logic.database import RESERVED_PREDICATES
+from rulebots.logic.terms import Struct, Term, functor_key
+from rulebots.logic.database import RESERVED_PREDICATES, compile_program
 from rulebots.agents.actions import ACTION_NATIVE_SIGNATURES
 from rulebots.agents.minds import PRELUDE_SIGNATURES
 from rulebots.agents.perception import PERCEPTION_NATIVE_SIGNATURES
@@ -24,18 +24,8 @@ _CONTROL_ONE = {("\\+", 1), ("call", 1)}
 _CLAUSE_REFS = {("assert", 1), ("asserta", 1), ("assertz", 1), ("retract", 1)}
 
 
-def _functor(term: Term):
-    if isinstance(term, Atom):
-        return (term.name, 0)
-    if isinstance(term, Struct):
-        return (term.name, len(term.args))
-    return None
-
-
 def _walk_body(body: Term, called: set, asserted: set) -> None:
-    if isinstance(body, (Var, Int)):
-        return
-    key = _functor(body)
+    key = functor_key(body)
     if key in _CONTROL_BOTH:
         _walk_body(body.args[0], called, asserted)
         _walk_body(body.args[1], called, asserted)
@@ -51,7 +41,7 @@ def _walk_body(body: Term, called: set, asserted: set) -> None:
         head = clause
         if isinstance(clause, Struct) and clause.name == ":-" and len(clause.args) == 2:
             head = clause.args[0]
-        head_key = _functor(head)
+        head_key = functor_key(head)
         if head_key is not None:
             asserted.add(head_key)
         return
@@ -76,18 +66,17 @@ def validate_stack(packages: list[RulePackage]) -> tuple[list[str], list[str]]:
 
     defined: dict[tuple[str, int], str] = {}
     dynamics: set = set()
-    parsed: dict[str, list] = {}
+    parsed: dict[str, tuple] = {}
     for pkg in packages:
         dynamics.update(pkg.dynamics)
         try:
-            clauses = read_program(pkg.text)
+            clauses = compile_program(pkg.text)
         except Exception as exc:
             errors.append(f"package {pkg.name}: {exc}")
             continue
         parsed[pkg.name] = clauses
-        for head, _ in clauses:
-            key = _functor(head)
-            defined.setdefault(key, pkg.name)
+        for clause in clauses:
+            defined.setdefault(clause.key, pkg.name)
 
     for pkg in packages:
         for entry in pkg.entries:
@@ -109,8 +98,8 @@ def validate_stack(packages: list[RulePackage]) -> tuple[list[str], list[str]]:
     for pkg in packages:
         called: set = set()
         asserted: set = set()
-        for _, body in parsed.get(pkg.name, []):
-            _walk_body(body, called, asserted)
+        for clause in parsed.get(pkg.name, ()):
+            _walk_body(clause.source_body, called, asserted)
         for key in sorted(called):
             if key in known:
                 continue

@@ -252,9 +252,6 @@ class WorldState:
             self._fov_key = key
         return self._fov_pairs
 
-    def path_cost(self, a_node: int, b_node: int) -> int | None:
-        return self.map.cost(a_node, b_node)
-
     # -- events ---------------------------------------------------------
 
     def _event(self, bot_key: int, etype: str, payload: str) -> None:

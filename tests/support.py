@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 
@@ -25,6 +26,14 @@ edge 2 3 4
 edge 3 4 4
 edge 4 5 4
 """
+
+
+def patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Rebind a function in every program module that imported it."""
+    name = original.__name__
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("rulebots.") and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, replacement)
 
 
 def line_world(seed: int = 0, team_size: int = 1) -> WorldState:

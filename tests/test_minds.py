@@ -3,7 +3,12 @@
 import pytest
 
 import support
-from rulebots.agents import REASON_PERIOD, TeamBlackboard, make_mind
+from rulebots.agents import PRELUDE_SIGNATURES, REASON_PERIOD, TeamBlackboard, make_mind
+from rulebots.agents.actions import ACTION_NATIVE_SIGNATURES
+from rulebots.agents.minds import RUNTIME_PRELUDE
+from rulebots.agents.perception import PERCEPTION_NATIVE_SIGNATURES
+from rulebots.logic import read_program
+from rulebots.logic.terms import functor_key
 from rulebots.sim import IdleIntent
 
 
@@ -71,3 +76,14 @@ def test_prelude_combinators(baseline_stack):
     w.bots[1].alive = False
     w.tick += 1  # fresh fov cache
     assert eng.run("no_visible_enemy(0)") == [{}]
+
+
+def test_signature_tables_match_what_a_mind_registers(baseline_stack):
+    # the validator trusts these hand-kept tables, so they must not drift
+    mind = scripted_mind(support.line_world(), 0, baseline_stack)
+    registered = list(mind.engine.kb._natives)
+    tables = PERCEPTION_NATIVE_SIGNATURES + ACTION_NATIVE_SIGNATURES
+    assert len(set(tables)) == len(tables)
+    assert sorted(registered) == sorted(tables)
+    prelude_heads = tuple(dict.fromkeys(functor_key(head) for head, _ in read_program(RUNTIME_PRELUDE)))
+    assert prelude_heads == PRELUDE_SIGNATURES

@@ -2,6 +2,10 @@
 
 import pytest
 
+import support
+from rulebots.logic import reader
+from rulebots.match import ControllerSpec, MatchConfig
+from rulebots.match.match import build_match
 from rulebots.rules import PackageError, load_package, load_stack, parse_manifest
 from rulebots.rules.manifest import RulePackage
 from rulebots.rules.validator import validate_stack
@@ -163,7 +167,7 @@ def test_validate_declared_assert_is_clean():
 def test_validate_unparseable_package():
     broken = pkg("addon", "map_type", "pick(X :- .\n", entries=[("pick", 1)])
     errors, _ = validate_stack([GAME, broken])
-    assert any(e.startswith("package addon:") for e in errors)
+    assert any(e.startswith("package addon: ") for e in errors)
 
 
 def test_shipped_stack_validates_clean():
@@ -171,3 +175,20 @@ def test_shipped_stack_validates_clean():
     errors, warnings = validate_stack(stack)
     assert errors == []
     assert warnings == []
+
+
+def test_rebuilding_a_full_stack_match_parses_nothing(monkeypatch):
+    # the validator and every mind's consult share one parse per text
+    full = ControllerSpec("scripted", ("baseline", "cs_rules", "warehouse_tactics"))
+    config = MatchConfig(map_name="warehouse", seed=0, rounds=1, ct=full, t=full)
+    build_match(config)
+    parsed = []
+    original = reader.read_program
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    support.patch_everywhere(monkeypatch, original, counting)
+    build_match(config)
+    assert parsed == []

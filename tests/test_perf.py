@@ -1,6 +1,8 @@
 """Reasoning-vs-simulation timing: report shape and invariants."""
 
-from rulebots.match import ControllerSpec, MatchConfig, PerfReport, measure_performance
+import support
+from rulebots.match import ControllerSpec, MatchConfig, PerfReport, measure_performance, replay
+from rulebots.match import cli, match
 from rulebots.match.perf import summary_text
 
 
@@ -46,3 +48,32 @@ def test_summary_text_lines():
     assert "reasoning per tick: median" in lines[1]
     assert "reasoning share of wall time:" in lines[2]
     assert "all-native reference" in lines[3]
+
+
+RUN_ONE_ROUND = ["run", "--map", "warehouse", "--seed", "1", "--rounds", "1",
+                 "--ct", "scripted:baseline", "--t", "scripted:baseline"]
+
+
+def test_run_perf_plays_the_timed_match_and_one_native_reference(monkeypatch, capsys):
+    built = []
+    original = match.build_match
+
+    def counting(config):
+        built.append(config)
+        return original(config)
+
+    support.patch_everywhere(monkeypatch, original, counting)
+    assert cli.main(RUN_ONE_ROUND + ["--perf"]) == cli.OK
+    assert sorted((c.ct.kind, c.t.kind) for c in built) == [
+        ("native", "native"), ("scripted", "scripted")
+    ]
+    assert "all-native reference" in capsys.readouterr().out
+
+
+def test_run_perf_writes_the_trace_of_a_plain_run(tmp_path, capsys):
+    assert cli.main(RUN_ONE_ROUND + ["--out", str(tmp_path / "plain")]) == cli.OK
+    assert cli.main(RUN_ONE_ROUND + ["--perf", "--out", str(tmp_path / "perf")]) == cli.OK
+    plain = (tmp_path / "plain" / "match0.trace").read_bytes()
+    timed = tmp_path / "perf" / "match0.trace"
+    assert timed.read_bytes() == plain
+    assert replay(timed).clean

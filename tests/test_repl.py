@@ -49,3 +49,9 @@ def test_queries_see_scripted_rules():
     # the baseline package is consulted into bot 0's mind
     text = run_session(["slot_pref(0, T)", ".", ":quit"], packages=("baseline", "cs_rules", "warehouse_tactics"))
     assert "T = rush" in text
+
+
+def test_tick_past_round_end_reports_the_outcome():
+    text = run_session([":tick 1000", ":tick", ":quit"])
+    assert text.count("round over: ") == 2
+    assert "wins by" in text
