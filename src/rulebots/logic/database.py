@@ -5,6 +5,14 @@ A resolution stream captures the store's generation when it starts and
 only ever sees clauses alive at that point, so asserts and retracts made
 while a stream is open never change what that stream yields.
 
+The store counts its open streams.  A dead clause stays in its list while
+any stream is open, since that stream's snapshot may still see it; once
+the last one closes, no later snapshot can, and every predicate that lost
+a clause meanwhile has its list rebuilt without the dead ones.  Clause
+lists are copy-on-write apart from `append`: a rebuild or an `asserta`
+makes a new list, so an enumeration already running keeps the list it
+started on, and a clause appended after its snapshot is skipped as unborn.
+
 A clause is compiled once into an immutable `ClauseTemplate`, and a
 program text once per process, so stores that consult the same text
 share its templates; a `StoredClause` adds only its store's lifetime.
@@ -133,6 +141,9 @@ class _Predicate:
         self.clauses: list[StoredClause] = []
         self.declared_dynamic = False
 
+    def drop_dead(self):
+        self.clauses = [c for c in self.clauses if c.death is None]
+
 
 class NativePredicate:
     __slots__ = ("name", "arity", "handler", "nondet")
@@ -151,6 +162,8 @@ class KnowledgeBase:
         self._preds: dict[tuple[str, int], _Predicate] = {}
         self._natives: dict[tuple[str, int], NativePredicate] = {}
         self.generation = 0
+        self._open_streams = 0
+        self._dirty: set[_Predicate] = set()
 
     # -- interning ---------------------------------------------------------
 
@@ -165,6 +178,23 @@ class KnowledgeBase:
     def _bump(self) -> int:
         self.generation += 1
         return self.generation
+
+    def open_stream(self):
+        self._open_streams += 1
+
+    def close_stream(self):
+        self._open_streams -= 1
+        if not self._open_streams and self._dirty:
+            for pred in self._dirty:
+                pred.drop_dead()
+            self._dirty.clear()
+
+    def _lost_clauses(self, pred: _Predicate):
+        """Free `pred`'s dead clauses now, or when the last open stream closes."""
+        if self._open_streams:
+            self._dirty.add(pred)
+        else:
+            pred.drop_dead()
 
     def _check_writable(self, key: tuple[str, int], what: str):
         if key in RESERVED_PREDICATES:
@@ -186,13 +216,14 @@ class KnowledgeBase:
             self._preds[template.key] = pred
         clause = StoredClause(template, self._bump())
         if front:
-            pred.clauses.insert(0, clause)
+            pred.clauses = [clause, *pred.clauses]
         else:
             pred.clauses.append(clause)
         return clause
 
     def kill_clause(self, clause: StoredClause):
         clause.death = self._bump()
+        self._lost_clauses(self._preds[clause.template.key])
 
     def declare_dynamic(self, name: str, arity: int):
         key = (name, arity)
@@ -233,3 +264,4 @@ class KnowledgeBase:
         for c in pred.clauses:
             if c.death is None:
                 c.death = self._bump()
+        self._lost_clauses(pred)

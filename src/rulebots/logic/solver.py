@@ -4,7 +4,8 @@ The machine is a set of mutually recursive generators over a shared
 binding store with a trail.  Each clause activation gets its own cut
 flag, so a cut prunes alternatives back to the clause that contains it
 and never further.  A stream snapshots the store generation when it
-starts; database changes made while it is open are invisible to it.
+starts; database changes made while it is open are invisible to it, and
+the store keeps the clauses it may still see until it closes.
 
 Clauses are resolved from their compiled templates (see
 `database.ClauseTemplate`): a goal is unified directly against the head
@@ -557,7 +558,7 @@ def _bi_retract(m: _Machine, args, depth, cut):
     if pred is None:
         return
     pargs = phead.args if type(phead) is Struct else ()
-    for clause in list(pred.clauses):
+    for clause in pred.clauses:
         if clause.death is not None or clause.birth > m.snap:
             continue
         template = clause.template
@@ -638,13 +639,27 @@ assert set(_BUILTINS) == set(RESERVED_PREDICATES)
 
 
 class SolutionStream:
-    """Resumable enumeration of one query's solutions."""
+    """Resumable enumeration of one query's solutions.
+
+    The stream is open, and holds its snapshot's dead clauses in the
+    store, from its creation until it is exhausted, raises, is closed or
+    is dropped.
+    """
 
     def __init__(self, machine: _Machine, goal: Term, names: dict[str, Var]):
         self._machine = machine
         self._names = names
         self._gen = machine.solve(goal, 0, _CutFlag())
+        machine.kb.open_stream()
         self._done = False
+
+    def close(self) -> None:
+        """Give up the remaining solutions."""
+        if not self._done:
+            self._done = True
+            self._machine.kb.close_stream()
+
+    __del__ = close
 
     def next_solution(self) -> dict[str, Term] | None:
         if self._done:
@@ -652,11 +667,14 @@ class SolutionStream:
         try:
             next(self._gen)
         except StopIteration:
-            self._done = True
+            self.close()
             return None
         except RecursionError:
-            self._done = True
+            self.close()
             raise BudgetExceededError("interpreter recursion limit hit during resolution")
+        except BaseException:
+            self.close()
+            raise
         m = self._machine
         return {name: m.resolve(var) for name, var in self._names.items()}
 

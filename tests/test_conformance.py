@@ -94,6 +94,14 @@ CASES = [
      "assertz(d(1)), retract(d(1))", []),
     ("retract_takes_clause_born_before_query", "d(0).",
      "assertz(d(0)), retract(d(0)), \\+ retract(d(0))", [{}]),
+    # a clause added in front of a predicate under enumeration neither
+    # shows up in it nor makes it yield an earlier clause again
+    ("asserta_unseen_by_running_enumeration", "p(1). p(2).",
+     "findall(_X, (p(_X), asserta(p(9))), L)", [{"L": "[1,2]"}]),
+    ("asserta_each_answer_still_reaches_the_last", "p(1). p(2).",
+     "p(X), asserta(p(0)), X == 2", [{"X": "2"}]),
+    ("assertz_unseen_by_running_enumeration", "p(1). p(2).",
+     "findall(_X, (p(_X), assertz(p(9))), L)", [{"L": "[1,2]"}]),
     # -- findall ------------------------------------------------------
     ("findall_collects_in_order", "p(3). p(1). p(2).", "findall(_V, p(_V), L)",
      [{"L": "[3,1,2]"}]),

@@ -1,15 +1,18 @@
-"""A finished match is freed by reference counting alone.
+"""A finished match, and a dropped query stream, are freed by reference
+counting alone.
 
 Minds, engines and the solver's streams must not form reference cycles:
 a cycle waits for the cyclic collector, which runs less often the fewer
 containers the solver allocates, so a finished match's objects would
-linger and raise the peak memory of a long experiment.
+linger and raise the peak memory of a long experiment.  A stream left
+for the collector would also keep its snapshot's dead clauses stored.
 """
 
 import gc
 
 import pytest
 
+from rulebots.logic import Engine, Int, read_term
 from rulebots.match import ControllerSpec, MatchConfig, run_match
 
 FULL_STACK = ("baseline", "cs_rules", "warehouse_tactics")
@@ -43,3 +46,21 @@ def cyclic_garbage_after(config: MatchConfig) -> int:
 def test_match_leaves_no_cyclic_garbage(side):
     config = MatchConfig(map_name="warehouse", seed=3, rounds=12, ct=side, t=side)
     assert cyclic_garbage_after(config) == 0
+
+
+def test_dropped_stream_neither_pins_dead_clauses_nor_leaves_garbage():
+    e = Engine(output=lambda s: None)
+    e.consult("p(1). p(2). p(3).")
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        goal, names = read_term("p(X)")
+        assert e.solve(goal, names).next_solution()["X"] == Int(1)
+        assert e.prove(read_term("retract(p(2))")[0])
+        clauses = e.kb.lookup(("p", 1)).clauses
+        assert [c.death for c in clauses] == [None, None]
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
