@@ -9,7 +9,6 @@ from rulebots.agents.actions import (
 )
 from rulebots.agents.blackboard import TeamBlackboard
 from rulebots.agents.minds import (
-    PRELUDE_SIGNATURES,
     REASON_PERIOD,
     ROUND_SCOPED_DYNAMICS,
     Mind,
@@ -26,7 +25,6 @@ __all__ = [
     "register_action_natives",
     "split_opts",
     "TeamBlackboard",
-    "PRELUDE_SIGNATURES",
     "REASON_PERIOD",
     "ROUND_SCOPED_DYNAMICS",
     "Mind",

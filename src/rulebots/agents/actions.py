@@ -11,6 +11,7 @@ so their action lifecycles are directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from rulebots.logic import (
     Atom,
@@ -208,20 +209,6 @@ class ActionExecutor:
 
 # -- rule-facing wrappers ----------------------------------------------
 
-ACTION_NATIVE_SIGNATURES = (
-    ("action_goto", 2),
-    ("action_goto", 3),
-    ("action_kill", 2),
-    ("action_kill", 3),
-    ("action_liberate_hostages", 1),
-    ("action_liberate_hostages", 2),
-    ("action_guard", 2),
-    ("action_guard", 3),
-    ("action_buy", 2),
-    ("action_wait", 2),
-    ("idle", 1),
-)
-
 
 def _require_int(term: Term, what: str) -> int:
     if isinstance(term, Int):
@@ -263,62 +250,79 @@ def split_opts(opts: Term) -> tuple[Term | None, Term | None]:
     return _require_goal(opts, "motivation"), None
 
 
+def _own_bot(executor: ActionExecutor, term: Term) -> None:
+    bot_id = _require_int(term, "bot id")
+    if bot_id != executor.bot_id:
+        raise NotPermittedError(f"bot {executor.bot_id} cannot drive actions of bot {bot_id}")
+
+
+def _launch(executor: ActionExecutor, kind: str, args: tuple, opts: Term | None):
+    motivation, continuation = (None, None) if opts is None else split_opts(opts)
+    executor.start(Action(kind, args, motivation, continuation))
+    return [None]
+
+
+def _goto(executor, bot, node, opts=None):
+    _own_bot(executor, bot)
+    return _launch(executor, "goto", (_require_int(node, "waypoint id"),), opts)
+
+
+def _kill(executor, bot, target, opts=None):
+    _own_bot(executor, bot)
+    return _launch(executor, "kill", (_require_int(target, "target bot id"),), opts)
+
+
+def _liberate(executor, bot, opts=None):
+    _own_bot(executor, bot)
+    return _launch(executor, "liberate_hostages", (), opts)
+
+
+def _guard(executor, bot, node, opts=None):
+    _own_bot(executor, bot)
+    return _launch(executor, "guard", (_require_int(node, "waypoint id"),), opts)
+
+
+def _buy(executor, bot, weapon):
+    _own_bot(executor, bot)
+    name = _require_atom(weapon, "weapon name")
+    if name not in WEAPONS:
+        raise TermTypeError("known weapon name", name)
+    return _launch(executor, "buy", (name,), None)
+
+
+def _wait(executor, bot, ticks):
+    _own_bot(executor, bot)
+    n = _require_int(ticks, "tick count")
+    if n < 0:
+        raise TermTypeError("non-negative tick count", str(n))
+    return _launch(executor, "wait", (n,), None)
+
+
+def _idle(executor, bot):
+    _own_bot(executor, bot)
+    return [None] if executor.active is None else None
+
+
+# Every action native: (name, arity) -> (handler, nondet).  A handler takes
+# the bot's executor before its rule arguments; the longer arity of a
+# launcher adds the options term.
+ACTION_NATIVES = {
+    ("action_goto", 2): (_goto, False),
+    ("action_goto", 3): (_goto, False),
+    ("action_kill", 2): (_kill, False),
+    ("action_kill", 3): (_kill, False),
+    ("action_liberate_hostages", 1): (_liberate, False),
+    ("action_liberate_hostages", 2): (_liberate, False),
+    ("action_guard", 2): (_guard, False),
+    ("action_guard", 3): (_guard, False),
+    ("action_buy", 2): (_buy, False),
+    ("action_wait", 2): (_wait, False),
+    ("idle", 1): (_idle, False),
+}
+
+ACTION_NATIVE_SIGNATURES = tuple(ACTION_NATIVES)
+
+
 def register_action_natives(kb, executor: ActionExecutor) -> None:
-    def own_bot(term: Term) -> int:
-        bot_id = _require_int(term, "bot id")
-        if bot_id != executor.bot_id:
-            raise NotPermittedError(
-                f"bot {executor.bot_id} cannot drive actions of bot {bot_id}"
-            )
-        return bot_id
-
-    def launch(kind: str, args: tuple, opts: Term | None):
-        motivation, continuation = (None, None) if opts is None else split_opts(opts)
-        executor.start(Action(kind, args, motivation, continuation))
-        return [None]
-
-    def goto(bot, node, opts=None):
-        own_bot(bot)
-        return launch("goto", (_require_int(node, "waypoint id"),), opts)
-
-    def kill(bot, target, opts=None):
-        own_bot(bot)
-        return launch("kill", (_require_int(target, "target bot id"),), opts)
-
-    def liberate(bot, opts=None):
-        own_bot(bot)
-        return launch("liberate_hostages", (), opts)
-
-    def guard(bot, node, opts=None):
-        own_bot(bot)
-        return launch("guard", (_require_int(node, "waypoint id"),), opts)
-
-    def buy(bot, weapon):
-        own_bot(bot)
-        name = _require_atom(weapon, "weapon name")
-        if name not in WEAPONS:
-            raise TermTypeError("known weapon name", name)
-        return launch("buy", (name,), None)
-
-    def wait(bot, ticks):
-        own_bot(bot)
-        n = _require_int(ticks, "tick count")
-        if n < 0:
-            raise TermTypeError("non-negative tick count", str(n))
-        return launch("wait", (n,), None)
-
-    def idle(bot):
-        own_bot(bot)
-        return [None] if executor.active is None else None
-
-    kb.register_native("action_goto", 2, goto)
-    kb.register_native("action_goto", 3, goto)
-    kb.register_native("action_kill", 2, kill)
-    kb.register_native("action_kill", 3, kill)
-    kb.register_native("action_liberate_hostages", 1, liberate)
-    kb.register_native("action_liberate_hostages", 2, liberate)
-    kb.register_native("action_guard", 2, guard)
-    kb.register_native("action_guard", 3, guard)
-    kb.register_native("action_buy", 2, buy)
-    kb.register_native("action_wait", 2, wait)
-    kb.register_native("idle", 1, idle)
+    for (name, arity), (handler, nondet) in ACTION_NATIVES.items():
+        kb.register_native(name, arity, partial(handler, executor), nondet)

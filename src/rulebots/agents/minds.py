@@ -25,8 +25,6 @@ and(A, B) :- call(A), call(B).
 no_visible_enemy(B) :- \\+ visible_enemy(B, _).
 """
 
-PRELUDE_SIGNATURES = (("and", 2), ("no_visible_enemy", 1))
-
 # Predicates the runtime owns and wipes at every round start.
 ROUND_SCOPED_DYNAMICS = (
     ("bought_this_round", 1),

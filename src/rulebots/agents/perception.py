@@ -8,6 +8,8 @@ silently; that catches rule bugs early.
 
 from __future__ import annotations
 
+from functools import partial
+
 from rulebots.logic import (
     Atom,
     InstantiationError,
@@ -19,27 +21,6 @@ from rulebots.logic import (
     term_str,
 )
 from rulebots.sim import WorldState
-
-PERCEPTION_NATIVE_SIGNATURES = (
-    ("bot_in_fov", 2),
-    ("visible_enemy", 2),
-    ("bot_alive", 1),
-    ("team", 2),
-    ("health", 2),
-    ("ammo", 2),
-    ("money", 2),
-    ("at_waypoint", 2),
-    ("hostage_at", 2),
-    ("hostage_following", 2),
-    ("hear_footsteps", 2),
-    ("round_time_left", 1),
-    ("game_phase", 1),
-    ("waypoint_tag", 2),
-    ("path_cost", 3),
-    ("team_assert", 1),
-    ("team_retract", 1),
-    ("team_fact", 1),
-)
 
 
 def _int_or_none(term: Term, what: str) -> int | None:
@@ -59,172 +40,172 @@ def _atom_or_none(term: Term, what: str) -> str | None:
     raise TermTypeError(f"atom {what}", term_str(term))
 
 
+def _alive_ids(world):
+    return [b for b in sorted(world.bots) if world.bots[b].alive]
+
+
+def _fov_pairs(world, va, vb, enemies_only):
+    out = []
+    for pa, pb in sorted(world.fov_pairs()):
+        if enemies_only and world.bots[pa].team == world.bots[pb].team:
+            continue
+        if va is not None and pa != va:
+            continue
+        if vb is not None and pb != vb:
+            continue
+        out.append((Int(pa), Int(pb)))
+    return out
+
+
+def bot_in_fov(world, board, a, b):
+    return _fov_pairs(world, _int_or_none(a, "bot id"), _int_or_none(b, "bot id"), False)
+
+
+def visible_enemy(world, board, a, b):
+    return _fov_pairs(world, _int_or_none(a, "bot id"), _int_or_none(b, "bot id"), True)
+
+
+def bot_alive(world, board, b):
+    vb = _int_or_none(b, "bot id")
+    return [(Int(i),) for i in _alive_ids(world) if vb is None or i == vb]
+
+
+def _per_bot(value_of, value_check, value_what):
+    def handler(world, board, b, v):
+        vb = _int_or_none(b, "bot id")
+        value_check(v, value_what)
+        return [
+            (Int(i), value_of(world, world.bots[i]))
+            for i in _alive_ids(world)
+            if vb is None or i == vb
+        ]
+
+    return handler
+
+
+def _hostages(world, h, other, other_what, following):
+    """Unrescued hostages with their waypoint, or with the bot they follow."""
+    vh = _int_or_none(h, "hostage id")
+    _int_or_none(other, other_what)
+    out = []
+    for hid in sorted(world.hostages):
+        hostage = world.hostages[hid]
+        if hostage.rescued or (hostage.following is not None) != following:
+            continue
+        if vh is not None and hid != vh:
+            continue
+        out.append((Int(hid), Int(hostage.following if following else hostage.node)))
+    return out
+
+
+def hostage_at(world, board, h, w):
+    return _hostages(world, h, w, "waypoint id", False)
+
+
+def hostage_following(world, board, h, b):
+    return _hostages(world, h, b, "bot id", True)
+
+
+def hear_footsteps(world, board, a, b):
+    va = _int_or_none(a, "bot id")
+    vb = _int_or_none(b, "bot id")
+    limit = world.config.hearing_range_cm
+    out = []
+    ids = _alive_ids(world)
+    for i in ids:
+        if va is not None and i != va:
+            continue
+        wi = world.nearest_wp(world.bots[i])
+        for j in ids:
+            if j == i:
+                continue
+            if vb is not None and j != vb:
+                continue
+            if world.map.cost(world.nearest_wp(world.bots[j]), wi) <= limit:
+                out.append((Int(i), Int(j)))
+    return out
+
+
+def round_time_left(world, board, s):
+    _int_or_none(s, "seconds")
+    return [(Int(world.clock // 4),)]
+
+
+def game_phase(world, board, p):
+    _atom_or_none(p, "phase")
+    return [(Atom(world.phase),)]
+
+
+def waypoint_tag(world, board, w, tag):
+    vw = _int_or_none(w, "waypoint id")
+    _atom_or_none(tag, "tag")
+    out = []
+    for wid in world.map.ids:
+        if vw is not None and wid != vw:
+            continue
+        for t in world.map.waypoints[wid].tags:
+            out.append((Int(wid), Atom(t)))
+    return out
+
+
+def path_cost(world, board, a, b, c):
+    va = _int_or_none(a, "waypoint id")
+    vb = _int_or_none(b, "waypoint id")
+    _int_or_none(c, "path cost")
+    if va is None or vb is None:
+        raise InstantiationError("path_cost/3 needs both waypoint ids bound")
+    if va not in world.map.waypoints or vb not in world.map.waypoints:
+        return None
+    return [(Int(va), Int(vb), Int(world.map.cost(va, vb)))]
+
+
+def team_assert(world, board, fact):
+    if collect_vars(fact):
+        raise InstantiationError("team_assert/1 needs a ground fact")
+    board.assert_fact(fact)
+    return [None]
+
+
+def team_retract(world, board, pattern):
+    removed = board.retract_match(pattern)
+    if removed is None:
+        return None
+    return [(removed,)]
+
+
+def team_fact(world, board, pattern):
+    return [(f,) for f in board.snapshot()]
+
+
+# Every perception native: (name, arity) -> (handler, nondet).  A handler
+# takes the world and the team blackboard before its rule arguments.
+PERCEPTION_NATIVES = {
+    ("bot_in_fov", 2): (bot_in_fov, True),
+    ("visible_enemy", 2): (visible_enemy, True),
+    ("bot_alive", 1): (bot_alive, True),
+    ("team", 2): (_per_bot(lambda world, bot: Atom(bot.team), _atom_or_none, "team name"), True),
+    ("health", 2): (_per_bot(lambda world, bot: Int(bot.health), _int_or_none, "health"), True),
+    ("ammo", 2): (_per_bot(lambda world, bot: Int(bot.ammo), _int_or_none, "ammo"), True),
+    ("money", 2): (_per_bot(lambda world, bot: Int(bot.money), _int_or_none, "money"), True),
+    ("at_waypoint", 2): (
+        _per_bot(lambda world, bot: Int(world.nearest_wp(bot)), _int_or_none, "waypoint id"),
+        True,
+    ),
+    ("hostage_at", 2): (hostage_at, True),
+    ("hostage_following", 2): (hostage_following, True),
+    ("hear_footsteps", 2): (hear_footsteps, True),
+    ("round_time_left", 1): (round_time_left, False),
+    ("game_phase", 1): (game_phase, False),
+    ("waypoint_tag", 2): (waypoint_tag, True),
+    ("path_cost", 3): (path_cost, False),
+    ("team_assert", 1): (team_assert, False),
+    ("team_retract", 1): (team_retract, False),
+    ("team_fact", 1): (team_fact, True),
+}
+
+PERCEPTION_NATIVE_SIGNATURES = tuple(PERCEPTION_NATIVES)
+
+
 def register_perception(kb, world: WorldState, board) -> None:
-    def alive_ids():
-        return [b for b in sorted(world.bots) if world.bots[b].alive]
-
-    def fov_sorted():
-        return sorted(world.fov_pairs())
-
-    def bot_in_fov(a, b):
-        va = _int_or_none(a, "bot id")
-        vb = _int_or_none(b, "bot id")
-        out = []
-        for pa, pb in fov_sorted():
-            if va is not None and pa != va:
-                continue
-            if vb is not None and pb != vb:
-                continue
-            out.append((Int(pa), Int(pb)))
-        return out
-
-    def visible_enemy(a, b):
-        va = _int_or_none(a, "bot id")
-        vb = _int_or_none(b, "bot id")
-        out = []
-        for pa, pb in fov_sorted():
-            if world.bots[pa].team == world.bots[pb].team:
-                continue
-            if va is not None and pa != va:
-                continue
-            if vb is not None and pb != vb:
-                continue
-            out.append((Int(pa), Int(pb)))
-        return out
-
-    def bot_alive(b):
-        vb = _int_or_none(b, "bot id")
-        return [(Int(i),) for i in alive_ids() if vb is None or i == vb]
-
-    def per_bot(value_of, value_check, value_what):
-        def handler(b, v):
-            vb = _int_or_none(b, "bot id")
-            value_check(v, value_what)
-            return [
-                (Int(i), value_of(world.bots[i]))
-                for i in alive_ids()
-                if vb is None or i == vb
-            ]
-
-        return handler
-
-    def hostage_at(h, w):
-        vh = _int_or_none(h, "hostage id")
-        _int_or_none(w, "waypoint id")
-        out = []
-        for hid in sorted(world.hostages):
-            hostage = world.hostages[hid]
-            if hostage.rescued or hostage.following is not None:
-                continue
-            if vh is not None and hid != vh:
-                continue
-            out.append((Int(hid), Int(hostage.node)))
-        return out
-
-    def hostage_following(h, b):
-        vh = _int_or_none(h, "hostage id")
-        _int_or_none(b, "bot id")
-        out = []
-        for hid in sorted(world.hostages):
-            hostage = world.hostages[hid]
-            if hostage.rescued or hostage.following is None:
-                continue
-            if vh is not None and hid != vh:
-                continue
-            out.append((Int(hid), Int(hostage.following)))
-        return out
-
-    def hear_footsteps(a, b):
-        va = _int_or_none(a, "bot id")
-        vb = _int_or_none(b, "bot id")
-        limit = world.config.hearing_range_cm
-        out = []
-        ids = alive_ids()
-        for i in ids:
-            if va is not None and i != va:
-                continue
-            wi = world.nearest_wp(world.bots[i])
-            for j in ids:
-                if j == i:
-                    continue
-                if vb is not None and j != vb:
-                    continue
-                if world.map.cost(world.nearest_wp(world.bots[j]), wi) <= limit:
-                    out.append((Int(i), Int(j)))
-        return out
-
-    def round_time_left(s):
-        _int_or_none(s, "seconds")
-        return [(Int(world.clock // 4),)]
-
-    def game_phase(p):
-        _atom_or_none(p, "phase")
-        return [(Atom(world.phase),)]
-
-    def waypoint_tag(w, tag):
-        vw = _int_or_none(w, "waypoint id")
-        _atom_or_none(tag, "tag")
-        out = []
-        for wid in world.map.ids:
-            if vw is not None and wid != vw:
-                continue
-            for t in world.map.waypoints[wid].tags:
-                out.append((Int(wid), Atom(t)))
-        return out
-
-    def path_cost(a, b, c):
-        va = _int_or_none(a, "waypoint id")
-        vb = _int_or_none(b, "waypoint id")
-        _int_or_none(c, "path cost")
-        if va is None or vb is None:
-            raise InstantiationError("path_cost/3 needs both waypoint ids bound")
-        if va not in world.map.waypoints or vb not in world.map.waypoints:
-            return None
-        return [(Int(va), Int(vb), Int(world.map.cost(va, vb)))]
-
-    def team_assert(fact):
-        if collect_vars(fact):
-            raise InstantiationError("team_assert/1 needs a ground fact")
-        board.assert_fact(fact)
-        return [None]
-
-    def team_retract(pattern):
-        removed = board.retract_match(pattern)
-        if removed is None:
-            return None
-        return [(removed,)]
-
-    def team_fact(pattern):
-        return [(f,) for f in board.snapshot()]
-
-    kb.register_native("bot_in_fov", 2, bot_in_fov, nondet=True)
-    kb.register_native("visible_enemy", 2, visible_enemy, nondet=True)
-    kb.register_native("bot_alive", 1, bot_alive, nondet=True)
-    kb.register_native(
-        "team", 2, per_bot(lambda bot: Atom(bot.team), _atom_or_none, "team name"), nondet=True
-    )
-    kb.register_native(
-        "health", 2, per_bot(lambda bot: Int(bot.health), _int_or_none, "health"), nondet=True
-    )
-    kb.register_native(
-        "ammo", 2, per_bot(lambda bot: Int(bot.ammo), _int_or_none, "ammo"), nondet=True
-    )
-    kb.register_native(
-        "money", 2, per_bot(lambda bot: Int(bot.money), _int_or_none, "money"), nondet=True
-    )
-    kb.register_native(
-        "at_waypoint",
-        2,
-        per_bot(lambda bot: Int(world.nearest_wp(bot)), _int_or_none, "waypoint id"),
-        nondet=True,
-    )
-    kb.register_native("hostage_at", 2, hostage_at, nondet=True)
-    kb.register_native("hostage_following", 2, hostage_following, nondet=True)
-    kb.register_native("hear_footsteps", 2, hear_footsteps, nondet=True)
-    kb.register_native("round_time_left", 1, round_time_left)
-    kb.register_native("game_phase", 1, game_phase)
-    kb.register_native("waypoint_tag", 2, waypoint_tag, nondet=True)
-    kb.register_native("path_cost", 3, path_cost)
-    kb.register_native("team_assert", 1, team_assert)
-    kb.register_native("team_retract", 1, team_retract)
-    kb.register_native("team_fact", 1, team_fact, nondet=True)
+    for (name, arity), (handler, nondet) in PERCEPTION_NATIVES.items():
+        kb.register_native(name, arity, partial(handler, world, board), nondet)

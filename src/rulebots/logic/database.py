@@ -26,42 +26,11 @@ from rulebots.logic.errors import NotPermittedError, TermTypeError
 from rulebots.logic.reader import read_program
 from rulebots.logic.terms import TRUE, Struct, Term, Var, functor_key
 
-# Control constructs and builtins.  These names are owned by the solver:
+# Control constructs and builtins, keyed by (name, arity).  The solver
+# fills this table when it is imported, and `rulebots.logic` imports the
+# solver before any store is used.  These names are owned by the solver:
 # they can be neither defined by clauses nor shadowed by natives.
-RESERVED_PREDICATES: frozenset[tuple[str, int]] = frozenset(
-    {
-        (",", 2),
-        (";", 2),
-        ("->", 2),
-        ("!", 0),
-        ("\\+", 1),
-        ("call", 1),
-        ("true", 0),
-        ("fail", 0),
-        ("=", 2),
-        ("\\=", 2),
-        ("==", 2),
-        ("\\==", 2),
-        ("is", 2),
-        ("<", 2),
-        (">", 2),
-        ("=<", 2),
-        (">=", 2),
-        ("=:=", 2),
-        ("=\\=", 2),
-        ("findall", 3),
-        ("assert", 1),
-        ("asserta", 1),
-        ("assertz", 1),
-        ("retract", 1),
-        ("var", 1),
-        ("nonvar", 1),
-        ("atom", 1),
-        ("number", 1),
-        ("write", 1),
-        ("nl", 0),
-    }
-)
+BUILTINS: dict[tuple[str, int], tuple] = {}
 
 
 class ClauseTemplate:
@@ -196,8 +165,8 @@ class KnowledgeBase:
         else:
             pred.drop_dead()
 
-    def _check_writable(self, key: tuple[str, int], what: str):
-        if key in RESERVED_PREDICATES:
+    def check_writable(self, key: tuple[str, int], what: str):
+        if key in BUILTINS:
             raise NotPermittedError(f"cannot {what} reserved predicate {key[0]}/{key[1]}")
         if key in self._natives:
             raise NotPermittedError(f"cannot {what} native predicate {key[0]}/{key[1]}")
@@ -206,7 +175,7 @@ class KnowledgeBase:
         key = functor_key(head)
         if key is None:
             raise TermTypeError("callable clause head", head)
-        self._check_writable(key, "define")
+        self.check_writable(key, "define")
         return self._store(ClauseTemplate(head, body), front)
 
     def _store(self, template: ClauseTemplate, front: bool) -> StoredClause:
@@ -227,7 +196,7 @@ class KnowledgeBase:
 
     def declare_dynamic(self, name: str, arity: int):
         key = (name, arity)
-        self._check_writable(key, "declare dynamic")
+        self.check_writable(key, "declare dynamic")
         pred = self._preds.get(key)
         if pred is None:
             pred = _Predicate()
@@ -236,7 +205,7 @@ class KnowledgeBase:
 
     def register_native(self, name: str, arity: int, handler, nondet: bool = False):
         key = (name, arity)
-        if key in RESERVED_PREDICATES:
+        if key in BUILTINS:
             raise NotPermittedError(f"cannot register native over reserved {name}/{arity}")
         if key in self._natives:
             raise NotPermittedError(f"native {name}/{arity} already registered")
@@ -253,7 +222,7 @@ class KnowledgeBase:
         it shares the compiled templates."""
         templates = compile_program(text)
         for template in templates:
-            self._check_writable(template.key, "define")
+            self.check_writable(template.key, "define")
         return [self._store(template, False) for template in templates]
 
     def retract_all(self, name: str, arity: int):

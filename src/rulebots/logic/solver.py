@@ -11,19 +11,25 @@ Clauses are resolved from their compiled templates (see
 `database.ClauseTemplate`): a goal is unified directly against the head
 pattern, filling a fresh frame of slots, and each body goal is built
 from that frame only when resolution reaches it.
+
+Every builtin is declared once, in `BUILTINS`, which this module fills
+and the store reads to refuse writes to those names.  The five control
+constructs (`,`, `;`, `->`, `!`, `call`) are generators that take the
+caller's cut flag; every other builtin is deterministic, a plain test
+that `solve` runs inline under one trail mark.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 
-from rulebots.logic.database import KnowledgeBase, NativePredicate, RESERVED_PREDICATES
+from rulebots.logic.database import BUILTINS, KnowledgeBase, NativePredicate
 from rulebots.logic.errors import (
     BudgetExceededError,
     EvaluationError,
     ExistenceError,
     InstantiationError,
-    NotPermittedError,
     TermTypeError,
 )
 from rulebots.logic.reader import read_term, split_clause
@@ -37,6 +43,7 @@ from rulebots.logic.terms import (
     Var,
     collect_vars,
     fresh_var,
+    functor_key,
     make_list,
     term_str,
 )
@@ -310,9 +317,16 @@ class _Machine:
             name, args, arity = g.name, (), 0
         else:
             name, args, arity = g.name, g.args, len(g.args)
-        builtin = _BUILTINS.get((name, arity))
+        builtin = BUILTINS.get((name, arity))
         if builtin is not None:
-            yield from builtin(self, args, depth, cut)
+            run, control = builtin
+            if control:
+                yield from run(self, args, depth, cut)
+            else:
+                mark = len(self.trail)
+                if run(self, args, depth):
+                    yield
+                self.undo(mark)
             return
         native = self.kb.native((name, arity))
         if native is not None:
@@ -430,15 +444,6 @@ def _bi_cut(m: _Machine, args, depth, cut):
     cut.cut = True
 
 
-def _bi_true(m: _Machine, args, depth, cut):
-    yield
-
-
-def _bi_fail(m: _Machine, args, depth, cut):
-    return
-    yield
-
-
 def _bi_call(m: _Machine, args, depth, cut):
     (g,) = args
     gd = m.deref(g)
@@ -449,114 +454,51 @@ def _bi_call(m: _Machine, args, depth, cut):
     yield from m.solve(gd, depth + 1, _CutFlag())
 
 
-def _bi_naf(m: _Machine, args, depth, cut):
-    (g,) = args
+def _bi_not_unify(m: _Machine, args, depth) -> bool:
+    # a failed unification can leave bindings behind; drop them before succeeding
     mark = len(m.trail)
-    found = m.solve_once(g, depth + 1)
+    ok = m.unify(*args)
     m.undo(mark)
-    if not found:
-        yield
-
-
-def _bi_unify(m: _Machine, args, depth, cut):
-    a, b = args
-    mark = len(m.trail)
-    if m.unify(a, b):
-        yield
-    m.undo(mark)
-
-
-def _bi_not_unify(m: _Machine, args, depth, cut):
-    a, b = args
-    mark = len(m.trail)
-    ok = m.unify(a, b)
-    m.undo(mark)
-    if not ok:
-        yield
-
-
-def _bi_struct_eq(m: _Machine, args, depth, cut):
-    if m.term_equal(args[0], args[1]):
-        yield
-
-
-def _bi_struct_neq(m: _Machine, args, depth, cut):
-    if not m.term_equal(args[0], args[1]):
-        yield
-
-
-def _bi_is(m: _Machine, args, depth, cut):
-    lhs, rhs = args
-    value = Int(m.eval_arith(rhs))
-    mark = len(m.trail)
-    if m.unify(lhs, value):
-        yield
-    m.undo(mark)
+    return not ok
 
 
 def _cmp(op):
-    def body(m: _Machine, args, depth, cut):
-        l = m.eval_arith(args[0])
-        r = m.eval_arith(args[1])
-        if op(l, r):
-            yield
-
-    return body
+    return lambda m, args, depth: op(m.eval_arith(args[0]), m.eval_arith(args[1]))
 
 
-def _bi_findall(m: _Machine, args, depth, cut):
+def _bi_findall(m: _Machine, args, depth) -> bool:
     template, goal, out = args
-    results = []
-    mark = len(m.trail)
-    inner = _CutFlag()
-    for _ in m.solve(goal, depth + 1, inner):
-        results.append(m.reify_copy(template))
-    m.undo(mark)
-    lst = make_list(results)
-    mark = len(m.trail)
-    if m.unify(out, lst):
-        yield
-    m.undo(mark)
+    results = [m.reify_copy(template) for _ in m.solve(goal, depth + 1, _CutFlag())]
+    return m.unify(out, make_list(results))
 
 
-def _assert_clause(m: _Machine, args, front: bool):
-    (t,) = args
-    td = m.deref(t)
-    if type(td) is Var:
-        raise InstantiationError("unbound variable in assert")
-    head, body = split_clause(m.resolve(td))
-    if type(head) not in (Atom, Struct):
-        raise TermTypeError("callable clause head", head)
-    m.kb.add_clause(head, body, front=front)
+def _assert(front: bool):
+    def test(m: _Machine, args, depth) -> bool:
+        td = m.deref(args[0])
+        if type(td) is Var:
+            raise InstantiationError("unbound variable in assert")
+        head, body = split_clause(m.resolve(td))
+        m.kb.add_clause(head, body, front=front)
+        return True
+
+    return test
 
 
-def _bi_assertz(m: _Machine, args, depth, cut):
-    _assert_clause(m, args, front=False)
-    yield
-
-
-def _bi_asserta(m: _Machine, args, depth, cut):
-    _assert_clause(m, args, front=True)
-    yield
-
-
-def _bi_retract(m: _Machine, args, depth, cut):
+def _bi_retract(m: _Machine, args, depth) -> bool:
     """Remove the first clause that unifies.  Only clauses born at or before
     the query's snapshot and still live are candidates: a clause the query
     cannot see is never removed, and an earlier removal is always seen."""
-    (t,) = args
-    td = m.deref(t)
+    td = m.deref(args[0])
     if type(td) is Var:
         raise InstantiationError("unbound variable in retract")
     phead, pbody = split_clause(td)
-    if type(phead) not in (Atom, Struct):
+    key = functor_key(phead)
+    if key is None:
         raise TermTypeError("callable clause head", phead)
-    key = (phead.name, len(phead.args)) if type(phead) is Struct else (phead.name, 0)
-    if key in RESERVED_PREDICATES or m.kb.native(key) is not None:
-        raise NotPermittedError(f"cannot retract from protected predicate {key[0]}/{key[1]}")
+    m.kb.check_writable(key, "retract from")
     pred = m.kb.lookup(key)
     if pred is None:
-        return
+        return False
     pargs = phead.args if type(phead) is Struct else ()
     for clause in pred.clauses:
         if clause.death is not None or clause.birth > m.snap:
@@ -566,76 +508,57 @@ def _bi_retract(m: _Machine, args, depth, cut):
         mark = len(m.trail)
         if m.match_args(template.head, pargs, frame) and m.match(template.body, pbody, frame):
             m.kb.kill_clause(clause)
-            yield
-            m.undo(mark)
-            return
+            return True
         m.undo(mark)
+    return False
 
 
-def _bi_var(m: _Machine, args, depth, cut):
-    if type(m.deref(args[0])) is Var:
-        yield
-
-
-def _bi_nonvar(m: _Machine, args, depth, cut):
-    if type(m.deref(args[0])) is not Var:
-        yield
-
-
-def _bi_atom(m: _Machine, args, depth, cut):
-    if type(m.deref(args[0])) is Atom:
-        yield
-
-
-def _bi_number(m: _Machine, args, depth, cut):
-    if type(m.deref(args[0])) is Int:
-        yield
-
-
-def _bi_write(m: _Machine, args, depth, cut):
+def _bi_write(m: _Machine, args, depth) -> bool:
     m.out(term_str(m.resolve(args[0])))
-    yield
+    return True
 
 
-def _bi_nl(m: _Machine, args, depth, cut):
+def _bi_nl(m: _Machine, args, depth) -> bool:
     m.out("\n")
-    yield
+    return True
 
 
-_BUILTINS = {
-    (",", 2): _bi_conj,
-    (";", 2): _bi_disj,
-    ("->", 2): _bi_ite,
-    ("!", 0): _bi_cut,
-    ("true", 0): _bi_true,
-    ("fail", 0): _bi_fail,
-    ("call", 1): _bi_call,
-    ("\\+", 1): _bi_naf,
-    ("=", 2): _bi_unify,
-    ("\\=", 2): _bi_not_unify,
-    ("==", 2): _bi_struct_eq,
-    ("\\==", 2): _bi_struct_neq,
-    ("is", 2): _bi_is,
-    ("<", 2): _cmp(lambda l, r: l < r),
-    (">", 2): _cmp(lambda l, r: l > r),
-    ("=<", 2): _cmp(lambda l, r: l <= r),
-    (">=", 2): _cmp(lambda l, r: l >= r),
-    ("=:=", 2): _cmp(lambda l, r: l == r),
-    ("=\\=", 2): _cmp(lambda l, r: l != r),
-    ("findall", 3): _bi_findall,
-    ("assert", 1): _bi_assertz,
-    ("assertz", 1): _bi_assertz,
-    ("asserta", 1): _bi_asserta,
-    ("retract", 1): _bi_retract,
-    ("var", 1): _bi_var,
-    ("nonvar", 1): _bi_nonvar,
-    ("atom", 1): _bi_atom,
-    ("number", 1): _bi_number,
-    ("write", 1): _bi_write,
-    ("nl", 0): _bi_nl,
-}
-
-assert set(_BUILTINS) == set(RESERVED_PREDICATES)
+# The one list of the names the solver owns; the store refuses to define,
+# declare or register any of them.  Each entry is (run, control).
+BUILTINS.update(
+    {
+        (",", 2): (_bi_conj, True),
+        (";", 2): (_bi_disj, True),
+        ("->", 2): (_bi_ite, True),
+        ("!", 0): (_bi_cut, True),
+        ("call", 1): (_bi_call, True),
+        ("true", 0): (lambda m, args, depth: True, False),
+        ("fail", 0): (lambda m, args, depth: False, False),
+        ("\\+", 1): (lambda m, args, depth: not m.solve_once(args[0], depth + 1), False),
+        ("=", 2): (lambda m, args, depth: m.unify(*args), False),
+        ("\\=", 2): (_bi_not_unify, False),
+        ("==", 2): (lambda m, args, depth: m.term_equal(*args), False),
+        ("\\==", 2): (lambda m, args, depth: not m.term_equal(*args), False),
+        ("is", 2): (lambda m, args, depth: m.unify(args[0], Int(m.eval_arith(args[1]))), False),
+        ("<", 2): (_cmp(operator.lt), False),
+        (">", 2): (_cmp(operator.gt), False),
+        ("=<", 2): (_cmp(operator.le), False),
+        (">=", 2): (_cmp(operator.ge), False),
+        ("=:=", 2): (_cmp(operator.eq), False),
+        ("=\\=", 2): (_cmp(operator.ne), False),
+        ("findall", 3): (_bi_findall, False),
+        ("assert", 1): (_assert(front=False), False),
+        ("assertz", 1): (_assert(front=False), False),
+        ("asserta", 1): (_assert(front=True), False),
+        ("retract", 1): (_bi_retract, False),
+        ("var", 1): (lambda m, args, depth: type(m.deref(args[0])) is Var, False),
+        ("nonvar", 1): (lambda m, args, depth: type(m.deref(args[0])) is not Var, False),
+        ("atom", 1): (lambda m, args, depth: type(m.deref(args[0])) is Atom, False),
+        ("number", 1): (lambda m, args, depth: type(m.deref(args[0])) is Int, False),
+        ("write", 1): (_bi_write, False),
+        ("nl", 0): (_bi_nl, False),
+    }
+)
 
 
 class SolutionStream:
@@ -737,13 +660,3 @@ def unify_terms(a: Term, b: Term) -> dict[int, Term] | None:
         return None
     return {vid: m.resolve(Var(vid)) for vid in m.bind}
 
-
-def apply_bindings(t: Term, bindings: dict[int, Term]) -> Term:
-    """Deep-substitute an id -> term map produced by unify_terms."""
-    k = type(t)
-    if k is Var:
-        got = bindings.get(t.id)
-        return t if got is None else apply_bindings(got, bindings)
-    if k is Struct:
-        return Struct(t.name, tuple(apply_bindings(a, bindings) for a in t.args))
-    return t

@@ -9,14 +9,15 @@ is a warning because asserting before calling still works.
 from __future__ import annotations
 
 from rulebots.logic.terms import Struct, Term, functor_key
-from rulebots.logic.database import RESERVED_PREDICATES, compile_program
-from rulebots.agents.actions import ACTION_NATIVE_SIGNATURES
-from rulebots.agents.minds import PRELUDE_SIGNATURES
-from rulebots.agents.perception import PERCEPTION_NATIVE_SIGNATURES
+from rulebots.logic.database import BUILTINS, compile_program
+from rulebots.agents.actions import ACTION_NATIVES
+from rulebots.agents.minds import RUNTIME_PRELUDE
+from rulebots.agents.perception import PERCEPTION_NATIVES
 from rulebots.rules.manifest import LEVELS, PackageError, RulePackage
 
+# What every mind defines before any package: its natives and the prelude.
 NATIVE_SIGNATURES = frozenset(
-    ACTION_NATIVE_SIGNATURES + PERCEPTION_NATIVE_SIGNATURES + PRELUDE_SIGNATURES
+    [*ACTION_NATIVES, *PERCEPTION_NATIVES, *(t.key for t in compile_program(RUNTIME_PRELUDE))]
 )
 
 _CONTROL_BOTH = {(",", 2), (";", 2), ("->", 2)}
@@ -87,12 +88,7 @@ def validate_stack(packages: list[RulePackage]) -> tuple[list[str], list[str]]:
         if pkg.level == "game" and ("do_reasoning", 1) not in pkg.entries:
             errors.append(f"game package {pkg.name} must declare entry do_reasoning/1")
 
-    known = (
-        set(defined)
-        | dynamics
-        | set(RESERVED_PREDICATES)
-        | set(NATIVE_SIGNATURES)
-    )
+    known = set(defined) | dynamics | BUILTINS.keys() | NATIVE_SIGNATURES
     names_known = {name for name, _ in known}
 
     for pkg in packages:

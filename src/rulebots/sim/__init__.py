@@ -7,7 +7,7 @@ so a (map, config, seed) triple replays byte-identically.
 
 from rulebots.sim.rng import SplitMix64, fnv1a64
 from rulebots.sim.mapdef import MapDefinition, Waypoint, MapError, load_map, parse_map
-from rulebots.sim.pathfind import shortest_path, path_cost
+from rulebots.sim.pathfind import shortest_path
 from rulebots.sim.world import (
     CT,
     T,
@@ -37,7 +37,6 @@ __all__ = [
     "load_map",
     "parse_map",
     "shortest_path",
-    "path_cost",
     "CT",
     "T",
     "WORLD",

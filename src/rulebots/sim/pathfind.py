@@ -47,8 +47,3 @@ def shortest_path(mapdef, start: int, goal: int) -> list[int] | None:
         path.append(best)
         cur = best
     return path
-
-
-def path_cost(mapdef, start: int, goal: int) -> int | None:
-    """Cost in centimetres of the cheapest start -> goal path, or None."""
-    return mapdef.dist_to(goal).get(start)

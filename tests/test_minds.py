@@ -3,12 +3,9 @@
 import pytest
 
 import support
-from rulebots.agents import PRELUDE_SIGNATURES, REASON_PERIOD, TeamBlackboard, make_mind
+from rulebots.agents import REASON_PERIOD, TeamBlackboard, make_mind
 from rulebots.agents.actions import ACTION_NATIVE_SIGNATURES
-from rulebots.agents.minds import RUNTIME_PRELUDE
 from rulebots.agents.perception import PERCEPTION_NATIVE_SIGNATURES
-from rulebots.logic import read_program
-from rulebots.logic.terms import functor_key
 from rulebots.sim import IdleIntent
 
 
@@ -85,5 +82,3 @@ def test_signature_tables_match_what_a_mind_registers(baseline_stack):
     tables = PERCEPTION_NATIVE_SIGNATURES + ACTION_NATIVE_SIGNATURES
     assert len(set(tables)) == len(tables)
     assert sorted(registered) == sorted(tables)
-    prelude_heads = tuple(dict.fromkeys(functor_key(head) for head, _ in read_program(RUNTIME_PRELUDE)))
-    assert prelude_heads == PRELUDE_SIGNATURES

@@ -8,7 +8,7 @@ from rulebots.match import ControllerSpec, MatchConfig
 from rulebots.match.match import build_match
 from rulebots.rules import PackageError, load_package, load_stack, parse_manifest
 from rulebots.rules.manifest import RulePackage
-from rulebots.rules.validator import validate_stack
+from rulebots.rules.validator import NATIVE_SIGNATURES, validate_stack
 
 
 def pkg(name, level, text, entries=(), dynamics=()):
@@ -119,6 +119,29 @@ def test_validate_wrong_arity_call():
     bad = pkg("addon", "map_type", "pick(X) :- do_reasoning(X, 1).\n", entries=[("pick", 1)])
     errors, _ = validate_stack([GAME, bad])
     assert any("do_reasoning/2 called but do_reasoning exists with arity 1" in e for e in errors)
+
+
+def _calls_to(keys, extra_arity=0):
+    """A package with one `probe` clause calling each key at arity + extra."""
+    lines = []
+    for name, arity in sorted(keys):
+        args = ", ".join("_" for _ in range(arity + extra_arity))
+        lines.append(f"probe :- {name}({args}).\n" if args else f"probe :- {name}.\n")
+    return pkg("addon", "map_type", "".join(lines), entries=[("probe", 0)])
+
+
+def test_validate_accepts_every_native_at_its_arity():
+    errors, warnings = validate_stack([GAME, _calls_to(NATIVE_SIGNATURES)])
+    assert errors == [] and warnings == []
+
+
+def test_validate_flags_every_native_called_one_arity_up():
+    errors, _ = validate_stack([GAME, _calls_to(NATIVE_SIGNATURES, extra_arity=1)])
+    # a launcher called one arity up is its options form, itself a native
+    wrong = {(name, arity + 1) for name, arity in NATIVE_SIGNATURES} - NATIVE_SIGNATURES
+    assert len(errors) == len(wrong) > 0
+    for name, arity in wrong:
+        assert any(f": {name}/{arity} called but {name} exists with arity" in e for e in errors)
 
 
 def test_validate_missing_entry_definition():

@@ -7,7 +7,7 @@ import numpy as np
 
 import support
 from rulebots.sim import parse_map
-from rulebots.sim.pathfind import dijkstra_from, path_cost, shortest_path
+from rulebots.sim.pathfind import dijkstra_from, shortest_path
 
 
 def pairs_adj(adj_dicts):
@@ -22,9 +22,9 @@ def graph_of(mapdef):
 def test_line_map_path():
     m = parse_map(support.LINE_MAP)
     assert shortest_path(m, 0, 5) == [0, 1, 2, 3, 4, 5]
-    assert path_cost(m, 0, 5) == 2000
+    assert m.cost(0, 5) == 2000
     assert shortest_path(m, 3, 3) == [3]
-    assert path_cost(m, 3, 3) == 0
+    assert m.cost(3, 3) == 0
 
 
 def test_tie_break_prefers_smaller_nodes():
@@ -77,4 +77,4 @@ def test_paths_are_walkable_and_cost_consistent(warehouse):
             for x, y in zip(path, path[1:]):
                 assert y in adj[x]
                 total += adj[x][y]
-            assert total == path_cost(warehouse, a, b)
+            assert total == warehouse.cost(a, b)

@@ -1,7 +1,13 @@
 """Resolution behavior: search order, cut, dynamics, natives, budgets."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rulebots.logic
 from rulebots.logic import (
     Atom,
     BudgetExceededError,
@@ -15,7 +21,10 @@ from rulebots.logic import (
     ParseError,
     Struct,
     TermTypeError,
+    fresh_var,
+    term_str,
 )
+from rulebots.logic.database import BUILTINS
 
 
 def engine(program: str = "") -> Engine:
@@ -214,6 +223,56 @@ def test_reserved_predicates_cannot_be_redefined():
     e = engine()
     with pytest.raises(NotPermittedError):
         e.consult("call(X) :- X.")
+
+
+def _write_paths(kb: KnowledgeBase, key):
+    """Every way a program or its host can write to the predicate `key`."""
+    name, arity = key
+    head = Struct(name, tuple(fresh_var() for _ in range(arity))) if arity else Atom(name)
+    e = Engine(kb, output=lambda s: None)
+    return {
+        "consult": lambda: kb.consult(f"({term_str(head)}) :- true."),
+        "assertz": lambda: e.prove(Struct("assertz", (head,))),
+        "retract": lambda: e.prove(Struct("retract", (head,))),
+        "declare_dynamic": lambda: kb.declare_dynamic(name, arity),
+        "register_native": lambda: kb.register_native(name, arity, lambda *args: [None]),
+    }
+
+
+@pytest.mark.parametrize("key", sorted(BUILTINS), ids=lambda key: f"{key[0]}/{key[1]}")
+def test_every_reserved_key_is_protected_on_every_write_path(key):
+    kb = KnowledgeBase()
+    for write in _write_paths(kb, key).values():
+        with pytest.raises(NotPermittedError, match="reserved"):
+            write()
+    assert kb.lookup(key) is None
+
+
+def test_a_native_key_is_protected_from_rule_writes():
+    kb = KnowledgeBase()
+    kb.register_native("owned", 1, lambda x: [None])
+    paths = _write_paths(kb, ("owned", 1))
+    for path in ("consult", "assertz", "retract"):
+        with pytest.raises(NotPermittedError, match="native"):
+            paths[path]()
+    assert kb.lookup(("owned", 1)) is None
+
+
+def test_reserved_keys_are_filled_by_importing_the_store_alone():
+    # the solver fills the store's reserved-name table as it is imported
+    code = (
+        "import rulebots.logic.database as db\n"
+        "try:\n"
+        "    db.KnowledgeBase().consult('call(X) :- X.')\n"
+        "except db.NotPermittedError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(rulebots.logic.__file__).parents[2]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "cannot define reserved predicate call/1\n"
 
 
 def test_step_budget_stops_runaway_recursion():

@@ -11,7 +11,18 @@ from rulebots.logic import (
     read_term,
     unify_terms,
 )
-from rulebots.logic.solver import apply_bindings
+from rulebots.logic.terms import Term, Var
+
+
+def apply_bindings(t: Term, bindings: dict[int, Term]) -> Term:
+    """Deep-substitute an id -> term map produced by unify_terms."""
+    k = type(t)
+    if k is Var:
+        got = bindings.get(t.id)
+        return t if got is None else apply_bindings(got, bindings)
+    if k is Struct:
+        return Struct(t.name, tuple(apply_bindings(a, bindings) for a in t.args))
+    return t
 
 
 def u(a_text, b_text):
