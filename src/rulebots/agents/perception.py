@@ -44,11 +44,11 @@ def _alive_ids(world):
     return [b for b in sorted(world.bots) if world.bots[b].alive]
 
 
-def _fov_pairs(world, va, vb, enemies_only):
+def bot_in_fov(world, board, a, b):
+    va = _int_or_none(a, "bot id")
+    vb = _int_or_none(b, "bot id")
     out = []
     for pa, pb in sorted(world.fov_pairs()):
-        if enemies_only and world.bots[pa].team == world.bots[pb].team:
-            continue
         if va is not None and pa != va:
             continue
         if vb is not None and pb != vb:
@@ -57,12 +57,19 @@ def _fov_pairs(world, va, vb, enemies_only):
     return out
 
 
-def bot_in_fov(world, board, a, b):
-    return _fov_pairs(world, _int_or_none(a, "bot id"), _int_or_none(b, "bot id"), False)
-
-
 def visible_enemy(world, board, a, b):
-    return _fov_pairs(world, _int_or_none(a, "bot id"), _int_or_none(b, "bot id"), True)
+    va = _int_or_none(a, "bot id")
+    vb = _int_or_none(b, "bot id")
+    out = []
+    for pa, pb in sorted(world.fov_pairs()):
+        if world.bots[pa].team == world.bots[pb].team:
+            continue
+        if va is not None and pa != va:
+            continue
+        if vb is not None and pb != vb:
+            continue
+        out.append((Int(pa), Int(pb)))
+    return out
 
 
 def bot_alive(world, board, b):
@@ -83,27 +90,32 @@ def _per_bot(value_of, value_check, value_what):
     return handler
 
 
-def _hostages(world, h, other, other_what, following):
-    """Unrescued hostages with their waypoint, or with the bot they follow."""
+def hostage_at(world, board, h, w):
     vh = _int_or_none(h, "hostage id")
-    _int_or_none(other, other_what)
+    _int_or_none(w, "waypoint id")
     out = []
     for hid in sorted(world.hostages):
         hostage = world.hostages[hid]
-        if hostage.rescued or (hostage.following is not None) != following:
+        if hostage.rescued or hostage.following is not None:
             continue
         if vh is not None and hid != vh:
             continue
-        out.append((Int(hid), Int(hostage.following if following else hostage.node)))
+        out.append((Int(hid), Int(hostage.node)))
     return out
 
 
-def hostage_at(world, board, h, w):
-    return _hostages(world, h, w, "waypoint id", False)
-
-
 def hostage_following(world, board, h, b):
-    return _hostages(world, h, b, "bot id", True)
+    vh = _int_or_none(h, "hostage id")
+    _int_or_none(b, "bot id")
+    out = []
+    for hid in sorted(world.hostages):
+        hostage = world.hostages[hid]
+        if hostage.rescued or hostage.following is None:
+            continue
+        if vh is not None and hid != vh:
+            continue
+        out.append((Int(hid), Int(hostage.following)))
+    return out
 
 
 def hear_footsteps(world, board, a, b):

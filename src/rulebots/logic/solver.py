@@ -16,7 +16,10 @@ Every builtin is declared once, in `BUILTINS`, which this module fills
 and the store reads to refuse writes to those names.  The five control
 constructs (`,`, `;`, `->`, `!`, `call`) are generators that take the
 caller's cut flag; every other builtin is deterministic, a plain test
-that `solve` runs inline under one trail mark.
+that `solve` runs inline under one trail mark.  That mark is undone only
+on backtracking, so a test that runs a goal of its own (`\\+`, `findall`)
+undoes the goal's bindings itself: a goal cut after binding can return
+with them still trailed.
 """
 
 from __future__ import annotations
@@ -466,9 +469,20 @@ def _cmp(op):
     return lambda m, args, depth: op(m.eval_arith(args[0]), m.eval_arith(args[1]))
 
 
+def _bi_naf(m: _Machine, args, depth) -> bool:
+    # a goal cut after binding can fail with its bindings still trailed
+    mark = len(m.trail)
+    found = m.solve_once(args[0], depth + 1)
+    m.undo(mark)
+    return not found
+
+
 def _bi_findall(m: _Machine, args, depth) -> bool:
     template, goal, out = args
+    # a cut in the goal leaves its last answer's bindings trailed; drop them
+    mark = len(m.trail)
     results = [m.reify_copy(template) for _ in m.solve(goal, depth + 1, _CutFlag())]
+    m.undo(mark)
     return m.unify(out, make_list(results))
 
 
@@ -534,7 +548,7 @@ BUILTINS.update(
         ("call", 1): (_bi_call, True),
         ("true", 0): (lambda m, args, depth: True, False),
         ("fail", 0): (lambda m, args, depth: False, False),
-        ("\\+", 1): (lambda m, args, depth: not m.solve_once(args[0], depth + 1), False),
+        ("\\+", 1): (_bi_naf, False),
         ("=", 2): (lambda m, args, depth: m.unify(*args), False),
         ("\\=", 2): (_bi_not_unify, False),
         ("==", 2): (lambda m, args, depth: m.term_equal(*args), False),

@@ -61,6 +61,13 @@ CASES = [
      "first(X)", [{"X": "5"}]),
     ("cut_local_to_findall_goal", MEMBER,
      "findall(_X, (mem(_X, [1,2]), !), L)", [{"L": "[1]"}]),
+    # a cut inside findall's or \+'s goal must not leave its bindings behind
+    ("cut_in_findall_goal_leaves_template_free", MEMBER,
+     "findall(X, (mem(X, [1,2]), !), L), X = free", [{"L": "[1]", "X": "free"}]),
+    ("cut_in_called_findall_goal_leaves_template_free", "",
+     "findall(X, call((X = 1, !)), L), X = free", [{"L": "[1]", "X": "free"}]),
+    ("cut_failing_naf_goal_leaves_var_free", "",
+     "\\+ (X = 1, !, fail ; true), X = 2", [{"X": "2"}]),
     # -- negation as failure ------------------------------------------
     ("naf_of_fail", "", "\\+ fail", [{}]),
     ("naf_provable_goal_fails", "p(1).", "\\+ p(1)", []),
