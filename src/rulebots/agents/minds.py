@@ -155,7 +155,7 @@ class NativeMind(Mind):
 
     def _first_visible_enemy(self) -> int | None:
         bot = self.world.bots[self.bot_id]
-        for viewer, seen in sorted(self.world.fov_pairs()):
+        for viewer, seen in self.world.fov_pairs():
             if viewer == self.bot_id and self.world.bots[seen].team != bot.team:
                 return seen
         return None

@@ -48,7 +48,7 @@ def bot_in_fov(world, board, a, b):
     va = _int_or_none(a, "bot id")
     vb = _int_or_none(b, "bot id")
     out = []
-    for pa, pb in sorted(world.fov_pairs()):
+    for pa, pb in world.fov_pairs():
         if va is not None and pa != va:
             continue
         if vb is not None and pb != vb:
@@ -61,7 +61,7 @@ def visible_enemy(world, board, a, b):
     va = _int_or_none(a, "bot id")
     vb = _int_or_none(b, "bot id")
     out = []
-    for pa, pb in sorted(world.fov_pairs()):
+    for pa, pb in world.fov_pairs():
         if world.bots[pa].team == world.bots[pb].team:
             continue
         if va is not None and pa != va:

@@ -132,7 +132,7 @@ class WorldState:
         self.events: list[tuple[int, int, int, str, str]] = []
         self._seq = 0
         self._fov_key: tuple[int, int] | None = None
-        self._fov_pairs: frozenset = frozenset()
+        self._fov_pairs: tuple[tuple[int, int], ...] = ()
         n = config.team_size
         ct_spawns = mapdef.tagged("spawn_ct")
         t_spawns = mapdef.tagged("spawn_t")
@@ -233,22 +233,21 @@ class WorldState:
             return False
         if d2 == 0:
             return True
-        bearing = bearing_deg(pb[0] - pa[0], pb[1] - pa[1])
-        if ang_diff(bearing, a.facing_deg) > self.config.fov_half_angle_deg:
+        # one set lookup before the bearing arithmetic, which it often saves
+        if not self.map.can_see(self.nearest_wp(a), self.nearest_wp(b)):
             return False
-        return self.map.can_see(self.nearest_wp(a), self.nearest_wp(b))
+        bearing = bearing_deg(pb[0] - pa[0], pb[1] - pa[1])
+        return ang_diff(bearing, a.facing_deg) <= self.config.fov_half_angle_deg
 
-    def fov_pairs(self) -> frozenset:
-        """Ordered (viewer, seen) pairs among living bots, cached per tick."""
+    def fov_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Ordered (viewer, seen) pairs among living bots, cached per tick; sorted,
+        since ``self.bots`` holds ids in ascending order."""
         key = (self.round_no, self.tick)
         if self._fov_key != key:
-            pairs = set()
             alive = [b.id for b in self.bots.values() if b.alive]
-            for a in alive:
-                for b in alive:
-                    if a != b and self.in_fov(a, b):
-                        pairs.add((a, b))
-            self._fov_pairs = frozenset(pairs)
+            self._fov_pairs = tuple(
+                (a, b) for a in alive for b in alive if a != b and self.in_fov(a, b)
+            )
             self._fov_key = key
         return self._fov_pairs
 

@@ -1,0 +1,73 @@
+"""The compare script's summary of paired benchmark runs, on fixed numbers."""
+
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_compare", Path(__file__).resolve().parent.parent / "bench" / "compare.py"
+)
+compare = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare)
+
+
+def test_summary_of_a_clear_gain():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [p + 5.0 for p in parent]
+    s = compare.summarize(parent, change, "higher")
+    assert s["parent"] == parent and s["change"] == change
+    assert s["parent_median"] == 12.0 and s["change_median"] == 17.0
+    assert s["parent_quartiles"] == [11.0, 13.0]
+    assert (s["wins"], s["pairs"]) == (10, 10)
+    assert s["gain_holds"]
+
+
+def test_lower_is_better_and_ties_count_for_neither():
+    parent = [2.0, 2.0, 3.0, 4.0]
+    change = [1.0, 2.0, 3.5, 3.0]
+    s = compare.summarize(parent, change, "lower")
+    assert s["wins"] == 2
+    assert s["parent_quartiles"] == [2.0, 3.25]
+    assert s["change_median"] == 2.5
+    assert not s["gain_holds"]
+
+
+@pytest.mark.parametrize(
+    ("change", "why"),
+    [
+        # every pair won, but the median gain of 1 is inside the IQR of 2
+        ([11.0, 12.0, 13.0, 14.0, 15.0, 11.0, 12.0, 13.0, 14.0, 15.0], "spread"),
+        # a large median gain, but only 8 of 10 pairs won
+        ([20.0, 20.0, 20.0, 20.0, 20.0, 20.0, 20.0, 20.0, 5.0, 5.0], "wins"),
+    ],
+)
+def test_gain_needs_nine_wins_in_ten_and_more_than_the_parent_spread(change, why):
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    s = compare.summarize(parent, change, "higher")
+    assert not s["gain_holds"], why
+
+
+def test_refuses_to_compare_across_a_benchmark_edit(tmp_path, monkeypatch, capsys):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("old\n")
+    (tmp_path / "BENCHMARK.json").write_text("{}\n")
+    (tmp_path / "program.py").write_text("old\n")
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "base")
+    monkeypatch.setattr(compare, "ROOT", tmp_path)
+    (tmp_path / "program.py").write_text("new\n")
+    assert compare._benchmark_edits("HEAD") == []
+
+    (tmp_path / "perfbench" / "run.py").write_text("new\n")
+    (tmp_path / "perfbench" / "extra.py").write_text("new\n")
+    assert compare._benchmark_edits("HEAD") == ["perfbench/run.py", "perfbench/extra.py"]
+    assert compare.main(["--base", "HEAD", "--tag", "t"]) == 1
+    assert "perfbench/run.py, perfbench/extra.py; nothing written" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()

@@ -1,6 +1,9 @@
-"""Simulation step mechanics on the line fixture."""
+"""Simulation step mechanics on the line fixture; the field of view on the bundled maps."""
+
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import support
 from rulebots.sim import (
@@ -16,8 +19,10 @@ from rulebots.sim import (
     SimConfig,
     T,
     WorldState,
+    load_map,
     parse_map,
 )
+from rulebots.sim.geometry import ang_diff, bearing_deg, dist2
 
 
 def step_with(world, intents=None):
@@ -160,6 +165,86 @@ def test_fov_range_limit():
     w.bots[0].facing_deg = 0
     # 4500 cm > 4000 cm view range
     assert not w.in_fov(0, 1)
+
+
+def reference_in_fov(world, viewer_id, seen_id):
+    """`in_fov` with its tests in their first order: bearing before visibility."""
+    a, b = world.bots[viewer_id], world.bots[seen_id]
+    pa, pb = world.pos_cm(a), world.pos_cm(b)
+    d2 = dist2(pa[0], pa[1], pb[0], pb[1])
+    if d2 > world.config.view_range_cm ** 2:
+        return False
+    if d2 == 0:
+        return True
+    bearing = bearing_deg(pb[0] - pa[0], pb[1] - pa[1])
+    if ang_diff(bearing, a.facing_deg) > world.config.fov_half_angle_deg:
+        return False
+    return world.map.can_see(world.nearest_wp(a), world.nearest_wp(b))
+
+
+def reference_fov_pairs(world):
+    alive = [b.id for b in world.bots.values() if b.alive]
+    return {(a, b) for a in alive for b in alive if a != b and reference_in_fov(world, a, b)}
+
+
+map_named = cache(load_map)
+
+
+def placements(mapdef):
+    """(node, edge, progress_cm): on a waypoint, or part-way along an edge."""
+    on_node = st.sampled_from(mapdef.ids).map(lambda n: (n, None, 0))
+    on_edge = st.sampled_from(sorted(mapdef.edge_cost)).flatmap(
+        lambda e: st.integers(1, mapdef.edge_cost[e] - 1).map(lambda p: (e[0], e, p))
+    )
+    return st.one_of(on_node, on_edge)
+
+
+@st.composite
+def placed_worlds(draw, map_name):
+    mapdef = map_named(map_name)
+    world = WorldState(mapdef, SimConfig(), 0)
+    # a few shared spots, so that several bots often stand on the same point
+    shared = draw(st.lists(placements(mapdef), min_size=1, max_size=3))
+    for bot in world.bots.values():
+        bot.node, bot.edge, bot.progress_cm = draw(
+            st.one_of(st.sampled_from(shared), placements(mapdef))
+        )
+        bot.facing_deg = draw(st.integers(0, 359))
+        bot.alive = draw(st.booleans())
+    return world
+
+
+@pytest.mark.parametrize("map_name", ["warehouse", "airplane"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fov_matches_reference_test_order(map_name, data):
+    world = data.draw(placed_worlds(map_name))
+    for a in world.bots:
+        for b in world.bots:
+            assert world.in_fov(a, b) == reference_in_fov(world, a, b)
+    assert world.fov_pairs() == tuple(sorted(reference_fov_pairs(world)))
+
+
+@pytest.mark.parametrize("map_name", ["warehouse", "airplane"])
+def test_fov_reference_covers_hidden_and_coincident_pairs(map_name):
+    # bot 0 stands on one waypoint facing straight at bot 1 on another:
+    # only range and walls can hide bot 1
+    world = WorldState(map_named(map_name), SimConfig(team_size=1), 0)
+    viewer, seen = world.bots[0], world.bots[1]
+    hidden_in_range = 0
+    for u in world.map.ids:
+        for v in world.map.ids:
+            viewer.node, seen.node = u, v
+            pu, pv = world.pos_cm(viewer), world.pos_cm(seen)
+            viewer.facing_deg = bearing_deg(pv[0] - pu[0], pv[1] - pu[1])
+            answer = world.in_fov(0, 1)
+            assert answer == reference_in_fov(world, 0, 1)
+            if u == v:
+                assert answer
+            elif dist2(*pu, *pv) <= world.config.view_range_cm ** 2:
+                assert answer == world.map.can_see(u, v)
+                hidden_in_range += not answer
+    assert hidden_in_range > 0
 
 
 def test_attack_guards_consume_no_rng():
