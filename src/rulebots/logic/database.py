@@ -30,7 +30,7 @@ from rulebots.logic.terms import TRUE, Struct, Term, Var, functor_key
 # fills this table when it is imported, and `rulebots.logic` imports the
 # solver before any store is used.  These names are owned by the solver:
 # they can be neither defined by clauses nor shadowed by natives.
-BUILTINS: dict[tuple[str, int], tuple] = {}
+BUILTINS: dict[tuple[str, int], object] = {}
 
 
 class ClauseTemplate:

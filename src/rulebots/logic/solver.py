@@ -1,25 +1,32 @@
-"""Depth-first resolution with backtracking.
+"""Depth-first resolution with backtracking, in one loop.
 
-The machine is a set of mutually recursive generators over a shared
-binding store with a trail.  Each clause activation gets its own cut
-flag, so a cut prunes alternatives back to the clause that contains it
-and never further.  A stream snapshots the store generation when it
-starts; database changes made while it is open are invisible to it, and
-the store keeps the clauses it may still see until it closes.
+`_Machine.run` walks a continuation of body nodes against a stack of
+choicepoints, over a binding store with a trail, and never recurses.  A
+node `(goals, i, frame, depth, barrier, next)` runs goal `i` of `goals`,
+built from `frame`, at proof depth `depth`; a cut there truncates the
+choicepoint stack to `barrier`.  A clause body is one node over the goals
+of its compiled template (see `database.ClauseTemplate`): a goal is
+unified directly against the head pattern, filling a fresh frame of
+slots, and each body goal is built only when the loop reaches it.  A
+marker node, whose `goals` is an int, commits an if-then-else, refutes a
+`\\+` or collects a `findall` answer.
 
-Clauses are resolved from their compiled templates (see
-`database.ClauseTemplate`): a goal is unified directly against the head
-pattern, filling a fresh frame of slots, and each body goal is built
-from that frame only when resolution reaches it.
+A choicepoint starts with a trail mark and holds the remaining clauses of
+a predicate, the remaining answers of a nondet native, the other branch
+of a `;`, if-then-else or `\\+`, or a finished `findall`.  `call/1`, an
+if-then-else condition, `\\+` and `findall` run their goal one level
+deeper behind a barrier of their own, so a cut there stays inside.
 
 Every builtin is declared once, in `BUILTINS`, which this module fills
-and the store reads to refuse writes to those names.  The five control
-constructs (`,`, `;`, `->`, `!`, `call`) are generators that take the
-caller's cut flag; every other builtin is deterministic, a plain test
-that `solve` runs inline under one trail mark.  That mark is undone only
-on backtracking, so a test that runs a goal of its own (`\\+`, `findall`)
-undoes the goal's bindings itself: a goal cut after binding can return
-with them still trailed.
+and the store reads to refuse writes to those names: an opcode for each
+of the seven control constructs, a plain test for every other builtin.
+Tests and deterministic natives answer inline and push no choicepoint.
+
+A stream snapshots the store generation when it starts; changes made
+while it is open are invisible to it, and the store keeps the clauses it
+may still see until it closes.  A query is bounded by `max_depth` and
+`max_steps`: no deep proof, copy or unification uses Python's stack, but
+`eval_arith` still recurses on the nesting of an expression.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import operator
 import sys
 
-from rulebots.logic.database import BUILTINS, KnowledgeBase, NativePredicate
+from rulebots.logic.database import BUILTINS, KnowledgeBase
 from rulebots.logic.errors import (
     BudgetExceededError,
     EvaluationError,
@@ -54,12 +61,11 @@ from rulebots.logic.terms import (
 DEFAULT_MAX_STEPS = 100_000
 DEFAULT_MAX_DEPTH = 2_000
 
-
-class _CutFlag:
-    __slots__ = ("cut",)
-
-    def __init__(self):
-        self.cut = False
+# Opcodes of the control constructs in `BUILTINS`, then of the marker nodes.
+CONJ, DISJ, ITE, CUT, CALL, NAF, FINDALL = range(7)
+_COMMIT, _REFUTE, _COLLECT = range(7, 10)
+# Choicepoint kinds; each choicepoint is (kind, trail mark, ...).
+_CLAUSES, _ANSWERS, _BRANCH, _FOUND = range(4)
 
 
 class _Machine:
@@ -144,29 +150,35 @@ class _Machine:
                 stack.extend(zip(x.args, y.args))
         return True
 
-    def resolve(self, t: Term) -> Term:
-        """Deep-substitute current bindings; unbound variables stay."""
-        t = self.deref(t)
-        if type(t) is not Struct:
+    def resolve(self, t: Term, fresh: dict[int, Var] | None = None) -> Term:
+        """Deep-substitute current bindings.  Unbound variables stay, or,
+        given a `fresh` map, each is renamed to one new variable kept there."""
+        deref = self.deref
+        t = deref(t)
+        if fresh is None and type(t) is not Struct:
             return t
-        return Struct(t.name, tuple(self.resolve(a) for a in t.args))
-
-    def reify_copy(self, t: Term) -> Term:
-        """Deep copy under current bindings with unbound vars renamed fresh."""
-        return self._copy(t, {})
-
-    def _copy(self, x: Term, mapping: dict[int, Var]) -> Term:
-        x = self.deref(x)
-        k = type(x)
-        if k is Var:
-            v = mapping.get(x.id)
-            if v is None:
-                v = fresh_var(x.name)
-                mapping[x.id] = v
-            return v
-        if k is Struct:
-            return Struct(x.name, tuple([self._copy(a, mapping) for a in x.args]))
-        return x
+        done: list[Term] = []
+        todo = [t]
+        while todo:
+            x = todo.pop()
+            if type(x) is tuple:  # (name, arity) once its arguments are done
+                name, n = x
+                cut = len(done) - n
+                x = Struct(name, tuple(done[cut:]))
+                del done[cut:]
+            else:
+                x = deref(x)
+                k = type(x)
+                if k is Struct:
+                    todo.append((x.name, len(x.args)))
+                    todo.extend(reversed(x.args))
+                    continue
+                if k is Var and fresh is not None:
+                    if x.id not in fresh:
+                        fresh[x.id] = fresh_var(x.name)
+                    x = fresh[x.id]
+            done.append(x)
+        return done[0]
 
     def term_equal(self, a: Term, b: Term) -> bool:
         stack = [(a, b)]
@@ -308,156 +320,165 @@ class _Machine:
             return Struct(p[0], tuple([self.build(a, frame) for a in p[1]]))
         return p
 
-    def solve(self, goal: Term, depth: int, cut: _CutFlag):
-        self.count_step(depth)
-        g = self.deref(goal)
-        k = type(g)
-        if k is Var:
-            raise InstantiationError("unbound variable as goal")
-        if k is Int:
-            raise TermTypeError("callable goal", g.value)
-        if k is Atom:
-            name, args, arity = g.name, (), 0
-        else:
-            name, args, arity = g.name, g.args, len(g.args)
-        builtin = BUILTINS.get((name, arity))
-        if builtin is not None:
-            run, control = builtin
-            if control:
-                yield from run(self, args, depth, cut)
-            else:
-                mark = len(self.trail)
-                if run(self, args, depth):
-                    yield
-                self.undo(mark)
-            return
-        native = self.kb.native((name, arity))
-        if native is not None:
-            yield from self.call_native(native, args)
-            return
-        pred = self.kb.lookup((name, arity))
-        if pred is None:
-            raise ExistenceError(name, arity)
-        snap = self.snap
-        local = _CutFlag()
+    def take_answer(self, args: tuple, answer) -> bool:
+        """Unify a native's answer: one term per argument, None for plain
+        success, False when the handler gave none."""
+        if answer is None or answer is False:
+            return answer is None
+        for orig, new in zip(args, answer):
+            if not self.unify(orig, new):
+                return False
+        return True
+
+    def run(self, goal: Term):
+        """Yield once for each solution of `goal`, its bindings in place."""
         trail = self.trail
-        depth += 1
-        for clause in pred.clauses:
-            if not clause.alive_at(snap):
-                continue
-            if local.cut:
-                return
-            mark = len(trail)
-            template = clause.template
-            frame = [None] * template.slots
-            if self.match_args(template.head, args, frame):
-                goals = template.goals
-                if not goals:  # a fact; its body `true` costs one step
-                    self.count_step(depth)
-                    yield
-                elif len(goals) == 1:
-                    yield from self.solve(self.build(goals[0], frame), depth, local)
-                else:
-                    yield from self.solve_body(goals, 0, frame, depth, local)
-            self.undo(mark)
-            if local.cut:
-                return
-
-    def solve_body(self, goals: tuple, i: int, frame: list, depth: int, cut: _CutFlag):
-        """Goals i.. of a clause body, run as the right-nested conjunction
-        they were read from: one step for each ','/2 node entered."""
-        self.count_step(depth)
-        last = len(goals) - 1
-        for _ in self.solve(self.build(goals[i], frame), depth, cut):
-            if i + 1 == last:
-                yield from self.solve(self.build(goals[last], frame), depth, cut)
+        deref = self.deref
+        count = self.count_step
+        cps: list[tuple] = []
+        node = ((goal,), 0, None, 0, 0, None)
+        while True:
+            if node is None:  # the continuation is empty: a solution
+                yield True
             else:
-                yield from self.solve_body(goals, i + 1, frame, depth, cut)
-            if cut.cut:
-                return
+                goals, i, frame, depth, barrier, node = node
+                if type(goals) is tuple:
+                    if i + 1 < len(goals):  # a clause body's ','/2 node
+                        count(depth)
+                        node = (goals, i + 1, frame, depth, barrier, node)
+                    count(depth)
+                    g = deref(goals[i] if frame is None else self.build(goals[i], frame))
+                    k = type(g)
+                    if k is Struct:
+                        args = g.args
+                    elif k is Atom:
+                        args = ()
+                    elif k is Var:
+                        raise InstantiationError("unbound variable as goal")
+                    else:
+                        raise TermTypeError("callable goal", g.value)
+                    key = (g.name, len(args))
+                    op = BUILTINS.get(key)
+                    if op is None:
+                        native = self.kb.native(key)
+                        if native is None:
+                            pred = self.kb.lookup(key)
+                            if pred is None:
+                                raise ExistenceError(*key)
+                            # tried by the backtracking below, like every later clause
+                            cps.append((_CLAUSES, len(trail), pred.clauses, 0, args, depth + 1, node))
+                        else:
+                            answers = native.handler(*[self.resolve(a) for a in args])
+                            if not answers:  # None or an empty list: no answer
+                                pass
+                            elif native.nondet:
+                                cps.append((_ANSWERS, len(trail), iter(answers), args, node))
+                            elif self.take_answer(args, next(iter(answers), False)):
+                                continue
+                    elif type(op) is not int:
+                        if op(self, args):
+                            continue
+                    elif op == CONJ:
+                        node = ((args[1],), 0, None, depth, barrier, node)
+                        node = ((args[0],), 0, None, depth, barrier, node)
+                        continue
+                    elif op == CUT:
+                        del cps[barrier:]
+                        continue
+                    elif op == CALL:
+                        g = deref(args[0])
+                        if type(g) is Var:
+                            raise InstantiationError("unbound variable in call/1")
+                        if type(g) is Int:
+                            raise TermTypeError("callable goal", g.value)
+                        node = ((g,), 0, None, depth + 1, len(cps), node)
+                        continue
+                    elif op == NAF:
+                        h = len(cps)
+                        cps.append((_BRANCH, len(trail), node))
+                        node = ((args[0],), 0, None, depth + 1, h + 1, (_REFUTE, h, None, 0, 0, None))
+                        continue
+                    elif op == FINDALL:
+                        h = len(cps)
+                        found: list[Term] = []
+                        cps.append((_FOUND, len(trail), found, args[2], node))
+                        collect = (_COLLECT, 0, (found, args[0]), 0, 0, None)
+                        node = ((args[1],), 0, None, depth + 1, h + 1, collect)
+                        continue
+                    else:
+                        h = len(cps)
+                        if op == DISJ:
+                            cps.append((_BRANCH, len(trail), ((args[1],), 0, None, depth, barrier, node)))
+                            c = deref(args[0])
+                            if not (type(c) is Struct and c.name == "->" and len(c.args) == 2):
+                                node = ((c,), 0, None, depth, barrier, node)
+                                continue
+                            args = c.args
+                        then = ((args[1],), 0, None, depth, barrier, node)
+                        node = ((args[0],), 0, None, depth + 1, len(cps), (_COMMIT, h, None, 0, 0, then))
+                        continue
+                elif goals == _COLLECT:
+                    frame[0].append(self.resolve(frame[1], {}))
+                else:
+                    del cps[i:]
+                    if goals == _COMMIT:
+                        continue
+            # backtrack: resume the newest choicepoint that has an alternative left
+            while True:
+                if not cps:
+                    return
+                cp = cps[-1]
+                kind = cp[0]
+                if len(trail) > cp[1]:
+                    self.undo(cp[1])
+                if kind == _CLAUSES:
+                    _, mark, clauses, j, args, depth, node = cp
+                    n = len(clauses)
+                    while j < n:
+                        clause = clauses[j]
+                        j += 1
+                        if clause.alive_at(self.snap):
+                            template = clause.template
+                            frame = [None] * template.slots
+                            if self.match_args(template.head, args, frame):
+                                break
+                            self.undo(mark)
+                    else:
+                        cps.pop()
+                        continue
+                    barrier = len(cps) - 1
+                    if j < n:
+                        cps[-1] = (_CLAUSES, mark, clauses, j, args, depth, node)
+                    else:
+                        cps.pop()
+                    if template.goals:
+                        node = (template.goals, 0, frame, depth, barrier, node)
+                    else:
+                        count(depth)  # a fact's body `true`
+                    break
+                if kind == _ANSWERS:
+                    _, mark, answers, args, node = cp
+                    for answer in answers:
+                        if self.take_answer(args, answer):
+                            break
+                        self.undo(mark)
+                    else:
+                        cps.pop()
+                        continue
+                    break
+                cps.pop()
+                if kind == _BRANCH:
+                    node = cp[2]
+                    break
+                _, mark, found, out, node = cp
+                if self.unify(out, make_list(found)):
+                    break
 
-    def call_native(self, native: NativePredicate, args: tuple):
-        resolved = tuple(self.resolve(a) for a in args)
-        answers = native.handler(*resolved)
-        if answers is None:
-            return
-        mark = len(self.trail)
-        for ans in answers:
-            ok = True
-            if ans is not None:
-                for orig, new in zip(args, ans):
-                    if not self.unify(orig, new):
-                        ok = False
-                        break
-            if ok:
-                yield
-            self.undo(mark)
-            if not native.nondet:
-                return
 
-    def solve_once(self, goal: Term, depth: int) -> bool:
-        """First solution, bindings kept.  Caller owns the trail mark."""
-        for _ in self.solve(goal, depth, _CutFlag()):
-            return True
-        return False
+# -- builtins --------------------------------------------------------------
 
 
-# -- control constructs and builtins --------------------------------------
-
-
-def _bi_conj(m: _Machine, args, depth, cut):
-    a, b = args
-    for _ in m.solve(a, depth, cut):
-        yield from m.solve(b, depth, cut)
-        if cut.cut:
-            return
-
-
-def _bi_disj(m: _Machine, args, depth, cut):
-    a, b = args
-    ad = m.deref(a)
-    if type(ad) is Struct and ad.name == "->" and len(ad.args) == 2:
-        cond, then = ad.args
-        mark = len(m.trail)
-        if m.solve_once(cond, depth + 1):
-            yield from m.solve(then, depth, cut)
-            m.undo(mark)
-        else:
-            m.undo(mark)
-            yield from m.solve(b, depth, cut)
-        return
-    mark = len(m.trail)
-    yield from m.solve(a, depth, cut)
-    if cut.cut:
-        return
-    m.undo(mark)
-    yield from m.solve(b, depth, cut)
-
-
-def _bi_ite(m: _Machine, args, depth, cut):
-    cond, then = args
-    mark = len(m.trail)
-    if m.solve_once(cond, depth + 1):
-        yield from m.solve(then, depth, cut)
-    m.undo(mark)
-
-
-def _bi_cut(m: _Machine, args, depth, cut):
-    yield
-    cut.cut = True
-
-
-def _bi_call(m: _Machine, args, depth, cut):
-    (g,) = args
-    gd = m.deref(g)
-    if type(gd) is Var:
-        raise InstantiationError("unbound variable in call/1")
-    if type(gd) is Int:
-        raise TermTypeError("callable goal", gd.value)
-    yield from m.solve(gd, depth + 1, _CutFlag())
-
-
-def _bi_not_unify(m: _Machine, args, depth) -> bool:
+def _bi_not_unify(m: _Machine, args) -> bool:
     # a failed unification can leave bindings behind; drop them before succeeding
     mark = len(m.trail)
     ok = m.unify(*args)
@@ -466,28 +487,11 @@ def _bi_not_unify(m: _Machine, args, depth) -> bool:
 
 
 def _cmp(op):
-    return lambda m, args, depth: op(m.eval_arith(args[0]), m.eval_arith(args[1]))
-
-
-def _bi_naf(m: _Machine, args, depth) -> bool:
-    # a goal cut after binding can fail with its bindings still trailed
-    mark = len(m.trail)
-    found = m.solve_once(args[0], depth + 1)
-    m.undo(mark)
-    return not found
-
-
-def _bi_findall(m: _Machine, args, depth) -> bool:
-    template, goal, out = args
-    # a cut in the goal leaves its last answer's bindings trailed; drop them
-    mark = len(m.trail)
-    results = [m.reify_copy(template) for _ in m.solve(goal, depth + 1, _CutFlag())]
-    m.undo(mark)
-    return m.unify(out, make_list(results))
+    return lambda m, args: op(m.eval_arith(args[0]), m.eval_arith(args[1]))
 
 
 def _assert(front: bool):
-    def test(m: _Machine, args, depth) -> bool:
+    def test(m: _Machine, args) -> bool:
         td = m.deref(args[0])
         if type(td) is Var:
             raise InstantiationError("unbound variable in assert")
@@ -498,7 +502,7 @@ def _assert(front: bool):
     return test
 
 
-def _bi_retract(m: _Machine, args, depth) -> bool:
+def _bi_retract(m: _Machine, args) -> bool:
     """Remove the first clause that unifies.  Only clauses born at or before
     the query's snapshot and still live are candidates: a clause the query
     cannot see is never removed, and an earlier removal is always seen."""
@@ -527,50 +531,51 @@ def _bi_retract(m: _Machine, args, depth) -> bool:
     return False
 
 
-def _bi_write(m: _Machine, args, depth) -> bool:
+def _bi_write(m: _Machine, args) -> bool:
     m.out(term_str(m.resolve(args[0])))
     return True
 
 
-def _bi_nl(m: _Machine, args, depth) -> bool:
+def _bi_nl(m: _Machine, args) -> bool:
     m.out("\n")
     return True
 
 
 # The one list of the names the solver owns; the store refuses to define,
-# declare or register any of them.  Each entry is (run, control).
+# declare or register any of them.  A control construct maps to its
+# opcode, every other builtin to its test.
 BUILTINS.update(
     {
-        (",", 2): (_bi_conj, True),
-        (";", 2): (_bi_disj, True),
-        ("->", 2): (_bi_ite, True),
-        ("!", 0): (_bi_cut, True),
-        ("call", 1): (_bi_call, True),
-        ("true", 0): (lambda m, args, depth: True, False),
-        ("fail", 0): (lambda m, args, depth: False, False),
-        ("\\+", 1): (_bi_naf, False),
-        ("=", 2): (lambda m, args, depth: m.unify(*args), False),
-        ("\\=", 2): (_bi_not_unify, False),
-        ("==", 2): (lambda m, args, depth: m.term_equal(*args), False),
-        ("\\==", 2): (lambda m, args, depth: not m.term_equal(*args), False),
-        ("is", 2): (lambda m, args, depth: m.unify(args[0], Int(m.eval_arith(args[1]))), False),
-        ("<", 2): (_cmp(operator.lt), False),
-        (">", 2): (_cmp(operator.gt), False),
-        ("=<", 2): (_cmp(operator.le), False),
-        (">=", 2): (_cmp(operator.ge), False),
-        ("=:=", 2): (_cmp(operator.eq), False),
-        ("=\\=", 2): (_cmp(operator.ne), False),
-        ("findall", 3): (_bi_findall, False),
-        ("assert", 1): (_assert(front=False), False),
-        ("assertz", 1): (_assert(front=False), False),
-        ("asserta", 1): (_assert(front=True), False),
-        ("retract", 1): (_bi_retract, False),
-        ("var", 1): (lambda m, args, depth: type(m.deref(args[0])) is Var, False),
-        ("nonvar", 1): (lambda m, args, depth: type(m.deref(args[0])) is not Var, False),
-        ("atom", 1): (lambda m, args, depth: type(m.deref(args[0])) is Atom, False),
-        ("number", 1): (lambda m, args, depth: type(m.deref(args[0])) is Int, False),
-        ("write", 1): (_bi_write, False),
-        ("nl", 0): (_bi_nl, False),
+        (",", 2): CONJ,
+        (";", 2): DISJ,
+        ("->", 2): ITE,
+        ("!", 0): CUT,
+        ("call", 1): CALL,
+        ("\\+", 1): NAF,
+        ("findall", 3): FINDALL,
+        ("true", 0): lambda m, args: True,
+        ("fail", 0): lambda m, args: False,
+        ("=", 2): lambda m, args: m.unify(*args),
+        ("\\=", 2): _bi_not_unify,
+        ("==", 2): lambda m, args: m.term_equal(*args),
+        ("\\==", 2): lambda m, args: not m.term_equal(*args),
+        ("is", 2): lambda m, args: m.unify(args[0], Int(m.eval_arith(args[1]))),
+        ("<", 2): _cmp(operator.lt),
+        (">", 2): _cmp(operator.gt),
+        ("=<", 2): _cmp(operator.le),
+        (">=", 2): _cmp(operator.ge),
+        ("=:=", 2): _cmp(operator.eq),
+        ("=\\=", 2): _cmp(operator.ne),
+        ("assert", 1): _assert(front=False),
+        ("assertz", 1): _assert(front=False),
+        ("asserta", 1): _assert(front=True),
+        ("retract", 1): _bi_retract,
+        ("var", 1): lambda m, args: type(m.deref(args[0])) is Var,
+        ("nonvar", 1): lambda m, args: type(m.deref(args[0])) is not Var,
+        ("atom", 1): lambda m, args: type(m.deref(args[0])) is Atom,
+        ("number", 1): lambda m, args: type(m.deref(args[0])) is Int,
+        ("write", 1): _bi_write,
+        ("nl", 0): _bi_nl,
     }
 )
 
@@ -586,7 +591,7 @@ class SolutionStream:
     def __init__(self, machine: _Machine, goal: Term, names: dict[str, Var]):
         self._machine = machine
         self._names = names
-        self._gen = machine.solve(goal, 0, _CutFlag())
+        self._run = machine.run(goal)
         machine.kb.open_stream()
         self._done = False
 
@@ -602,18 +607,14 @@ class SolutionStream:
         if self._done:
             return None
         try:
-            next(self._gen)
-        except StopIteration:
-            self.close()
-            return None
-        except RecursionError:
-            self.close()
-            raise BudgetExceededError("interpreter recursion limit hit during resolution")
+            if next(self._run, False):
+                resolve = self._machine.resolve
+                return {name: resolve(var) for name, var in self._names.items()}
         except BaseException:
             self.close()
             raise
-        m = self._machine
-        return {name: m.resolve(var) for name, var in self._names.items()}
+        self.close()
+        return None
 
     def __iter__(self):
         while True:
@@ -673,4 +674,3 @@ def unify_terms(a: Term, b: Term) -> dict[int, Term] | None:
     if not m.unify(a, b):
         return None
     return {vid: m.resolve(Var(vid)) for vid in m.bind}
-

@@ -134,38 +134,15 @@ class WorldState:
         self._fov_key: tuple[int, int] | None = None
         self._fov_pairs: tuple[tuple[int, int], ...] = ()
         n = config.team_size
-        ct_spawns = mapdef.tagged("spawn_ct")
-        t_spawns = mapdef.tagged("spawn_t")
-        aim = mapdef.waypoints[mapdef.tagged("hostage_point")[0]]
-        for i in range(n):
-            node = ct_spawns[i % len(ct_spawns)]
-            self.bots[i] = self._fresh_bot(i, CT, node, aim)
-        for i in range(n):
-            node = t_spawns[i % len(t_spawns)]
-            self.bots[n + i] = self._fresh_bot(n + i, T, node, aim)
-        for bot in self.bots.values():
-            bot.money = config.start_money
-        self._spawn_hostages()
+        for i in range(2 * n):
+            team = CT if i < n else T
+            self.bots[i] = BotState(id=i, team=team, node=0, facing_deg=0, money=config.start_money)
+        self._respawn()
         self._event(WORLD, "round_start", f"round={self.round_no}")
 
-    def _fresh_bot(self, bot_id: int, team: str, node: int, aim) -> BotState:
-        wp = self.map.waypoints[node]
-        facing = bearing_deg(aim.x - wp.x, aim.y - wp.y)
-        return BotState(id=bot_id, team=team, node=node, facing_deg=facing, trail_node=node)
-
-    def _spawn_hostages(self) -> None:
-        self.hostages = {}
-        for hid, node in enumerate(self.map.tagged("hostage_point")):
-            self.hostages[hid] = HostageState(id=hid, node=node)
-
-    def reset_round(self, round_no: int) -> None:
-        """Start a new round: respawn everyone, keep money and the RNG stream."""
-        self.round_no = round_no
-        self.tick = 0
-        self.outcome = None
-        self.events = []
-        self._seq = 0
-        self._fov_key = None
+    def _respawn(self) -> None:
+        """Put every bot on its team's spawn, facing the first hostage point,
+        with full health and a loaded pistol, and the hostages on their points."""
         n = self.config.team_size
         ct_spawns = self.map.tagged("spawn_ct")
         t_spawns = self.map.tagged("spawn_t")
@@ -185,7 +162,20 @@ class WorldState:
             bot.weapon = PISTOL
             bot.ammo = PISTOL.ammo
             bot.alive = True
-        self._spawn_hostages()
+        self.hostages = {
+            hid: HostageState(id=hid, node=node)
+            for hid, node in enumerate(self.map.tagged("hostage_point"))
+        }
+
+    def reset_round(self, round_no: int) -> None:
+        """Start a new round: respawn everyone, keep money and the RNG stream."""
+        self.round_no = round_no
+        self.tick = 0
+        self.outcome = None
+        self.events = []
+        self._seq = 0
+        self._fov_key = None
+        self._respawn()
         self._event(WORLD, "round_start", f"round={round_no}")
 
     # -- clock and phase ------------------------------------------------

@@ -22,6 +22,9 @@ from rulebots.logic import (
 )
 
 MEMBER = "mem(X, [X|_]). mem(X, [_|T]) :- mem(X, T)."
+COUNTDOWN = "cnt(0) :- !. cnt(N) :- M is N-1, cnt(M)."
+MAKE_LIST = "mk(0, []) :- !. mk(N, [N|T]) :- M is N-1, mk(M, T)."
+DOWN_FROM_1500 = "[" + ",".join(str(n) for n in range(1500, 0, -1)) + "]"
 
 CASES = [
     # -- unification --------------------------------------------------
@@ -68,6 +71,16 @@ CASES = [
      "findall(X, call((X = 1, !)), L), X = free", [{"L": "[1]", "X": "free"}]),
     ("cut_failing_naf_goal_leaves_var_free", "",
      "\\+ (X = 1, !, fail ; true), X = 2", [{"X": "2"}]),
+    # a cut in an if-then-else condition is local to it; one in the
+    # then-branch or in a branch of ';' cuts the clause
+    ("cut_in_ite_condition_is_local", "c(1). c(2). t(X) :- ((c(X), !) -> true ; true). t(9).",
+     "t(X)", [{"X": "1"}, {"X": "9"}]),
+    ("cut_in_then_branch_cuts_clause", "t(X) :- (true -> ! ; true), X = 1. t(2).",
+     "t(X)", [{"X": "1"}]),
+    ("cut_in_else_branch_cuts_clause", "t(X) :- (fail -> true ; !), X = 1. t(2).",
+     "t(X)", [{"X": "1"}]),
+    ("cut_in_disjunction_cuts_clause", "t(X) :- (X = 1, ! ; X = 2). t(3).",
+     "t(X)", [{"X": "1"}]),
     # -- negation as failure ------------------------------------------
     ("naf_of_fail", "", "\\+ fail", [{}]),
     ("naf_provable_goal_fails", "p(1).", "\\+ p(1)", []),
@@ -136,6 +149,14 @@ CASES = [
     ("error_atom_in_arith", "", "X is foo + 1", TermTypeError),
     ("error_int64_overflow", "", "X is 9223372036854775807 + 1", EvaluationError),
     ("error_assert_reserved", "", "assertz(true)", NotPermittedError),
+    ("error_call_unbound", "", "call(X)", InstantiationError),
+    ("error_call_integer", "", "call(1)", TermTypeError),
+    # -- depth: proofs and terms deeper than Python's own stack -------
+    ("depth_1900_within_default_limit", COUNTDOWN, "cnt(1900)", [{}]),
+    ("depth_2100_past_default_limit", COUNTDOWN, "cnt(2100)", BudgetExceededError),
+    ("deep_list_answer", MAKE_LIST, "mk(1500, L)", [{"L": DOWN_FROM_1500}]),
+    ("findall_copies_deep_list", MAKE_LIST, "mk(1500, _L), findall(_L, true, [C])",
+     [{"C": DOWN_FROM_1500}]),
 ]
 
 

@@ -282,6 +282,51 @@ def test_step_budget_stops_runaway_recursion():
         e.run("loop")
 
 
+# -- depth ----------------------------------------------------------------
+
+DEEP = (
+    "cnt(0) :- !. cnt(N) :- M is N-1, cnt(M). "
+    "mk(0, []) :- !. mk(N, [N|T]) :- M is N-1, mk(M, T)."
+)
+
+
+def test_default_depth_limit_is_the_one_reached():
+    e = engine(DEEP)
+    assert e.run("cnt(1900)") == [{}]
+    with pytest.raises(BudgetExceededError, match="depth limit exceeded \\(2000\\)"):
+        e.run("cnt(2100)")
+
+
+def test_deep_proofs_and_terms_need_no_interpreter_stack():
+    # the solver keeps its own stacks: a tiny recursion limit changes nothing
+    code = (
+        "import sys\n"
+        "from rulebots.logic import Engine\n"
+        "e = Engine(output=lambda s: None)\n"
+        f"e.consult({DEEP!r})\n"
+        "sys.setrecursionlimit(250)\n"
+        "print(len(e.run('cnt(1900)')), len(e.run('mk(1500, L), findall(L, true, [C])')))\n"
+    )
+    src = Path(rulebots.logic.__file__).parents[2]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "1 1\n"
+
+
+def test_error_in_findall_goal_closes_the_stream():
+    e = engine("d(1). d(2).")
+    goal, names = rulebots.logic.read_term("findall(X, (d(X), Y is X + foo), L)")
+    stream = e.solve(goal, names)
+    with pytest.raises(TermTypeError):
+        stream.next_solution()
+    # no stream is left open, so the retracted clause is freed at once
+    assert e.run("retract(d(1))") == [{}]
+    assert len(e.kb.lookup(("d", 1)).clauses) == 1
+    assert stream.next_solution() is None
+
+
 def test_native_det_takes_first_answer():
     kb = KnowledgeBase()
     kb.register_native("pick", 1, lambda x: [(Int(1),), (Int(2),)])
