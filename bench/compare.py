@@ -15,12 +15,16 @@ the repository.  The change is this checkout's working tree.
    rounds at seed 1).  Their trace files, which carry every event and
    each round's digest, must be byte-identical, or nothing is written:
    timings of two programs that behave differently are not compared.
-2. For each workload of ``BENCHMARK.json``, pairs 1 to 10 run
+2. Each side's ``perfbench/reference.py`` measures the mean CPU time per
+   tick of the six pairings at seed 0 over 12 rounds, in a process of
+   its own; each scripted pairing's ratio to native on its map, the
+   paper's known extra cost, goes beside them.
+3. For each workload of ``BENCHMARK.json``, pairs 1 to 10 run
    ``perfbench/run.py`` for the benchmark's run length, at the pair's
    number as the seed, on both sides: base first on odd pairs, change
    first on even ones.
-3. Each side makes one traced run per workload at seed 1.
-4. ``bench/BENCH_<tag>.json`` gets, per workload and end-to-end metric,
+4. Each side makes one traced run per workload at seed 1.
+5. ``bench/BENCH_<tag>.json`` gets, per workload and end-to-end metric,
    every pair's values, both medians, the base's quartiles, the change's
    win count and whether the gain holds: at least nine wins in ten, and a
    median gain larger than the base's interquartile range.  The traced
@@ -52,6 +56,14 @@ PAIRINGS = [
 ]
 SEEDS = range(1, 11)
 BENCHMARK = ("perfbench", "BENCHMARK.json")
+# Prints {map: {pairing: mean ms per tick}} from perfbench/reference.py.
+COST_PER_TICK = (
+    "import json, sys\n"
+    "sys.path.insert(0, 'perfbench')\n"
+    "from reference import PAIRINGS, per_tick\n"
+    "print(json.dumps({m: {label: per_tick(m, side)[1] for label, side in PAIRINGS.items()}\n"
+    "                  for m in ('warehouse', 'airplane')}))\n"
+)
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
@@ -77,6 +89,25 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "gain_holds": 10 * wins >= 9 * len(parent)
         and sign * (change_median - parent_median) > q3 - q1,
     }
+
+
+def extra_cost(means: dict[str, dict[str, float]]) -> dict:
+    """Each pairing's mean ms per tick on each map, and each scripted
+    pairing's ratio to the native pairing on the same map."""
+    return {
+        map_name: {
+            label: {"mean_ms": ms} if label == "native"
+            else {"mean_ms": ms, "x_native": ms / row["native"]}
+            for label, ms in row.items()
+        }
+        for map_name, row in means.items()
+    }
+
+
+def _cost_per_tick(side: Path) -> dict:
+    done = subprocess.run([sys.executable, "-c", COST_PER_TICK], cwd=side, check=True,
+                          capture_output=True, text=True)
+    return extra_cost(json.loads(done.stdout.strip().splitlines()[-1]))
 
 
 def _git(*args: str) -> str:
@@ -171,6 +202,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
         report["trace_sha256"] = hashes["change"]
+        report["cost_per_tick"] = {name: _cost_per_tick(side) for name, side in sides.items()}
         report["workloads"] = {}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "change": []}

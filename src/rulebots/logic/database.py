@@ -42,10 +42,13 @@ class ClauseTemplate:
     shared and never copied.  `head` holds the head's argument patterns,
     `body` the whole body, and `goals` the body split along the right
     spine of ','/2, empty for a fact (a body of plain `true`).
-    `source_body` keeps the parsed body for static checks.
+    `plain` says the head's arguments are distinct variables, so its
+    patterns are the slots `0..n-1` and a goal's arguments can start the
+    frame as they are, followed by `pad`.  `source_body` keeps the parsed
+    body for static checks.
     """
 
-    __slots__ = ("key", "head", "body", "goals", "slots", "source_body")
+    __slots__ = ("key", "head", "body", "goals", "slots", "plain", "pad", "source_body")
 
     def __init__(self, head: Term, body: Term):
         slots: dict[int, int] = {}
@@ -61,6 +64,8 @@ class ClauseTemplate:
             goals.append(_pattern(body, slots))
         self.goals = tuple(goals)
         self.slots = len(slots)
+        self.plain = self.head == tuple(range(len(self.head)))
+        self.pad = (None,) * (self.slots - len(self.head))
 
 
 def _pattern(t: Term, slots: dict[int, int]):

@@ -2,31 +2,38 @@
 
 `_Machine.run` walks a continuation of body nodes against a stack of
 choicepoints, over a binding store with a trail, and never recurses.  A
-node `(goals, i, frame, depth, barrier, next)` runs goal `i` of `goals`,
-built from `frame`, at proof depth `depth`; a cut there truncates the
-choicepoint stack to `barrier`.  A clause body is one node over the goals
-of its compiled template (see `database.ClauseTemplate`): a goal is
-unified directly against the head pattern, filling a fresh frame of
-slots, and each body goal is built only when the loop reaches it.  A
-marker node, whose `goals` is an int, commits an if-then-else, refutes a
-`\\+` or collects a `findall` answer.
+node `(goals, i, frame, depth, barrier, next)` runs goal `i` of `goals`
+at proof depth `depth`; a cut there truncates the choicepoint stack to
+`barrier`.  A clause body is one node over the goals of its compiled
+template (see `database.ClauseTemplate`).  A compiled goal, `(name, arg
+patterns)`, is called by building only its arguments from `frame`; a
+ground goal is called as it stands.  A head of distinct variables starts
+its frame with the call's arguments as they are; any other head is
+unified with them pattern by pattern.  A marker node, whose `goals` is an
+int, commits an if-then-else, refutes a `\\+` or collects a `findall`
+answer.
 
 A choicepoint starts with a trail mark and holds the remaining clauses of
 a predicate, the remaining answers of a nondet native, the other branch
-of a `;`, if-then-else or `\\+`, or a finished `findall`.  `call/1`, an
-if-then-else condition, `\\+` and `findall` run their goal one level
-deeper behind a barrier of their own, so a cut there stays inside.
+of a `;`, if-then-else or `\\+`, or a finished `findall`.  One routine
+enters a predicate's next matching clause, on the call and on
+backtracking alike, and leaves a choicepoint only if clauses remain after
+it, so a lone clause pushes none.  Tests, deterministic natives and
+natives with a single answer answer inline.  `call/1`, an if-then-else
+condition, `\\+` and `findall` run their goal one level deeper behind a
+barrier of their own, so a cut there stays inside.
 
 Every builtin is declared once, in `BUILTINS`, which this module fills
 and the store reads to refuse writes to those names: an opcode for each
 of the seven control constructs, a plain test for every other builtin.
-Tests and deterministic natives answer inline and push no choicepoint.
 
-A stream snapshots the store generation when it starts; changes made
-while it is open are invisible to it, and the store keeps the clauses it
-may still see until it closes.  A query is bounded by `max_depth` and
-`max_steps`: no deep proof, copy or unification uses Python's stack, but
-`eval_arith` still recurses on the nesting of an expression.
+`run` returns at each solution and leaves its choicepoints on the
+machine; a stream resumes it from a `_REFUTE` marker, and `Engine.prove`
+runs it once.  A stream snapshots the store generation when it starts;
+changes made while it is open are invisible to it, and the store keeps
+the clauses it may still see until it closes.  A query is bounded by
+`max_depth` and `max_steps`; no proof, copy, unification or evaluation
+uses Python's stack.
 """
 
 from __future__ import annotations
@@ -68,13 +75,35 @@ _COMMIT, _REFUTE, _COLLECT = range(7, 10)
 _CLAUSES, _ANSWERS, _BRANCH, _FOUND = range(4)
 
 
+# The arithmetic functions, by (name, arity).
+_ARITH = {
+    ("+", 2): operator.add, ("-", 2): operator.sub, ("*", 2): operator.mul,
+    ("//", 2): operator.floordiv, ("mod", 2): operator.mod,
+    ("min", 2): min, ("max", 2): max, ("-", 1): operator.neg, ("abs", 1): abs,
+}
+
+
+def _apply(key: tuple[str, int], operands) -> int:
+    fn = _ARITH.get(key)
+    if fn is None:
+        raise TermTypeError("arithmetic function", f"{key[0]}/{key[1]}")
+    try:
+        v = fn(*operands)
+    except ZeroDivisionError:
+        raise EvaluationError(("division" if key[0] == "//" else "mod") + " by zero") from None
+    if v < INT_MIN or v > INT_MAX:
+        raise EvaluationError("integer overflow (64-bit range)")
+    return v
+
+
 class _Machine:
-    __slots__ = ("kb", "bind", "trail", "snap", "steps", "max_steps", "max_depth", "out")
+    __slots__ = ("kb", "bind", "trail", "cps", "snap", "steps", "max_steps", "max_depth", "out")
 
     def __init__(self, kb: KnowledgeBase, max_steps: int, max_depth: int, out):
         self.kb = kb
         self.bind: dict[int, Term] = {}
         self.trail: list[int] = []
+        self.cps: list[tuple] = []
         self.snap = kb.generation
         self.steps = 0
         self.max_steps = max_steps
@@ -209,52 +238,37 @@ class _Machine:
     # -- arithmetic --------------------------------------------------------
 
     def eval_arith(self, t: Term) -> int:
+        """Evaluate an integer expression over an explicit stack, operands
+        left to right; an integer, or one operator over two integers, needs
+        no stack."""
         t = self.deref(t)
-        k = type(t)
-        if k is Int:
+        if type(t) is Int:
             return t.value
-        if k is Var:
-            raise InstantiationError("unbound variable in arithmetic expression")
-        if k is Atom:
-            raise TermTypeError("arithmetic expression", t.name)
-        name = t.name
-        n = len(t.args)
-        if n == 2:
-            l = self.eval_arith(t.args[0])
-            r = self.eval_arith(t.args[1])
-            if name == "+":
-                v = l + r
-            elif name == "-":
-                v = l - r
-            elif name == "*":
-                v = l * r
-            elif name == "//":
-                if r == 0:
-                    raise EvaluationError("division by zero")
-                v = l // r
-            elif name == "mod":
-                if r == 0:
-                    raise EvaluationError("mod by zero")
-                v = l % r
-            elif name == "min":
-                v = min(l, r)
-            elif name == "max":
-                v = max(l, r)
+        if type(t) is Struct and len(t.args) == 2:
+            l, r = self.deref(t.args[0]), self.deref(t.args[1])
+            if type(l) is Int and type(r) is Int:
+                return _apply((t.name, 2), (l.value, r.value))
+        todo: list = [t]
+        vals: list[int] = []
+        while todo:
+            x = todo.pop()
+            if type(x) is tuple:  # (name, arity) once its operands are evaluated
+                vals[-x[1]:] = [_apply(x, vals[-x[1]:])]
+                continue
+            x = self.deref(x)
+            k = type(x)
+            if k is Int:
+                vals.append(x.value)
+            elif k is Var:
+                raise InstantiationError("unbound variable in arithmetic expression")
+            elif k is Atom:
+                raise TermTypeError("arithmetic expression", x.name)
+            elif len(x.args) in (1, 2):
+                todo.append((x.name, len(x.args)))
+                todo.extend(reversed(x.args))
             else:
-                raise TermTypeError("arithmetic function", f"{name}/{n}")
-        elif n == 1:
-            a = self.eval_arith(t.args[0])
-            if name == "-":
-                v = -a
-            elif name == "abs":
-                v = abs(a)
-            else:
-                raise TermTypeError("arithmetic function", f"{name}/{n}")
-        else:
-            raise TermTypeError("arithmetic function", f"{name}/{n}")
-        if v < INT_MIN or v > INT_MAX:
-            raise EvaluationError("integer overflow (64-bit range)")
-        return v
+                raise TermTypeError("arithmetic function", f"{x.name}/{len(x.args)}")
+        return vals[0]
 
     # -- resolution --------------------------------------------------------
 
@@ -321,158 +335,162 @@ class _Machine:
         return p
 
     def take_answer(self, args: tuple, answer) -> bool:
-        """Unify a native's answer: one term per argument, None for plain
-        success, False when the handler gave none."""
-        if answer is None or answer is False:
-            return answer is None
-        for orig, new in zip(args, answer):
-            if not self.unify(orig, new):
-                return False
+        """Unify a native's answer: one term per argument, or None for plain success."""
+        if answer is not None:
+            for orig, new in zip(args, answer):
+                if not self.unify(orig, new):
+                    return False
         return True
 
-    def run(self, goal: Term):
-        """Yield once for each solution of `goal`, its bindings in place."""
-        trail = self.trail
-        deref = self.deref
-        count = self.count_step
-        cps: list[tuple] = []
-        node = ((goal,), 0, None, 0, 0, None)
+    def run(self, node) -> bool:
+        """Run `node` and its continuation to the next solution.  True at a
+        solution, its bindings in place and its choicepoints left on `cps`
+        for a later run from a `_REFUTE` marker; False once none is left."""
+        trail, cps, snap = self.trail, self.cps, self.snap
+        deref, build, count, take_answer = self.deref, self.build, self.count_step, self.take_answer
+        native_of, lookup = self.kb.native, self.kb.lookup
+        clauses = None
         while True:
             if node is None:  # the continuation is empty: a solution
-                yield True
-            else:
-                goals, i, frame, depth, barrier, node = node
-                if type(goals) is tuple:
-                    if i + 1 < len(goals):  # a clause body's ','/2 node
-                        count(depth)
-                        node = (goals, i + 1, frame, depth, barrier, node)
+                return True
+            goals, i, frame, depth, barrier, node = node
+            if type(goals) is tuple:
+                if i + 1 < len(goals):  # a clause body's ','/2 node
                     count(depth)
-                    g = deref(goals[i] if frame is None else self.build(goals[i], frame))
-                    k = type(g)
-                    if k is Struct:
-                        args = g.args
-                    elif k is Atom:
-                        args = ()
-                    elif k is Var:
-                        raise InstantiationError("unbound variable as goal")
-                    else:
-                        raise TermTypeError("callable goal", g.value)
-                    key = (g.name, len(args))
-                    op = BUILTINS.get(key)
-                    if op is None:
-                        native = self.kb.native(key)
-                        if native is None:
-                            pred = self.kb.lookup(key)
-                            if pred is None:
-                                raise ExistenceError(*key)
-                            # tried by the backtracking below, like every later clause
-                            cps.append((_CLAUSES, len(trail), pred.clauses, 0, args, depth + 1, node))
-                        else:
-                            answers = native.handler(*[self.resolve(a) for a in args])
-                            if not answers:  # None or an empty list: no answer
-                                pass
-                            elif native.nondet:
-                                cps.append((_ANSWERS, len(trail), iter(answers), args, node))
-                            elif self.take_answer(args, next(iter(answers), False)):
-                                continue
-                    elif type(op) is not int:
-                        if op(self, args):
-                            continue
-                    elif op == CONJ:
-                        node = ((args[1],), 0, None, depth, barrier, node)
-                        node = ((args[0],), 0, None, depth, barrier, node)
-                        continue
-                    elif op == CUT:
-                        del cps[barrier:]
-                        continue
-                    elif op == CALL:
-                        g = deref(args[0])
-                        if type(g) is Var:
-                            raise InstantiationError("unbound variable in call/1")
-                        if type(g) is Int:
-                            raise TermTypeError("callable goal", g.value)
-                        node = ((g,), 0, None, depth + 1, len(cps), node)
-                        continue
-                    elif op == NAF:
-                        h = len(cps)
-                        cps.append((_BRANCH, len(trail), node))
-                        node = ((args[0],), 0, None, depth + 1, h + 1, (_REFUTE, h, None, 0, 0, None))
-                        continue
-                    elif op == FINDALL:
-                        h = len(cps)
-                        found: list[Term] = []
-                        cps.append((_FOUND, len(trail), found, args[2], node))
-                        collect = (_COLLECT, 0, (found, args[0]), 0, 0, None)
-                        node = ((args[1],), 0, None, depth + 1, h + 1, collect)
-                        continue
-                    else:
-                        h = len(cps)
-                        if op == DISJ:
-                            cps.append((_BRANCH, len(trail), ((args[1],), 0, None, depth, barrier, node)))
-                            c = deref(args[0])
-                            if not (type(c) is Struct and c.name == "->" and len(c.args) == 2):
-                                node = ((c,), 0, None, depth, barrier, node)
-                                continue
-                            args = c.args
-                        then = ((args[1],), 0, None, depth, barrier, node)
-                        node = ((args[0],), 0, None, depth + 1, len(cps), (_COMMIT, h, None, 0, 0, then))
-                        continue
-                elif goals == _COLLECT:
-                    frame[0].append(self.resolve(frame[1], {}))
+                    node = (goals, i + 1, frame, depth, barrier, node)
+                count(depth)
+                g = goals[i]
+                if type(g) is tuple:  # a compiled call: build only its arguments
+                    args = tuple([build(a, frame) for a in g[1]])
+                    key = (g[0], len(args))
                 else:
-                    del cps[i:]
-                    if goals == _COMMIT:
+                    g = deref(g if frame is None else build(g, frame))
+                    k = type(g)
+                    if k is Var:
+                        raise InstantiationError("unbound variable as goal")
+                    if k is Int:
+                        raise TermTypeError("callable goal", g.value)
+                    args = g.args if k is Struct else ()
+                    key = (g.name, len(args))
+                op = BUILTINS.get(key)
+                if op is None:
+                    native = native_of(key)
+                    if native is None:
+                        pred = lookup(key)
+                        if pred is None:
+                            raise ExistenceError(*key)
+                        clauses, j, mark, depth = pred.clauses, 0, len(trail), depth + 1
+                    else:
+                        answers = native.handler(*[self.resolve(a) for a in args])
+                        if not answers:  # a handler gives None or a list of answers
+                            pass
+                        elif native.nondet and len(answers) > 1:
+                            cps.append((_ANSWERS, len(trail), iter(answers), args, node))
+                        elif take_answer(args, answers[0]):
+                            continue
+                elif type(op) is not int:
+                    if op(self, args):
                         continue
-            # backtrack: resume the newest choicepoint that has an alternative left
+                elif op == CONJ:
+                    node = ((args[1],), 0, None, depth, barrier, node)
+                    node = ((args[0],), 0, None, depth, barrier, node)
+                    continue
+                elif op == CUT:
+                    del cps[barrier:]
+                    continue
+                elif op == CALL:
+                    g = deref(args[0])
+                    if type(g) is Var:
+                        raise InstantiationError("unbound variable in call/1")
+                    if type(g) is Int:
+                        raise TermTypeError("callable goal", g.value)
+                    node = ((g,), 0, None, depth + 1, len(cps), node)
+                    continue
+                elif op == NAF:
+                    h = len(cps)
+                    cps.append((_BRANCH, len(trail), node))
+                    node = ((args[0],), 0, None, depth + 1, h + 1, (_REFUTE, h, None, 0, 0, None))
+                    continue
+                elif op == FINDALL:
+                    h = len(cps)
+                    found: list[Term] = []
+                    cps.append((_FOUND, len(trail), found, args[2], node))
+                    collect = (_COLLECT, 0, (found, args[0]), 0, 0, None)
+                    node = ((args[1],), 0, None, depth + 1, h + 1, collect)
+                    continue
+                else:
+                    h = len(cps)
+                    if op == DISJ:
+                        cps.append((_BRANCH, len(trail), ((args[1],), 0, None, depth, barrier, node)))
+                        c = deref(args[0])
+                        if not (type(c) is Struct and c.name == "->" and len(c.args) == 2):
+                            node = ((c,), 0, None, depth, barrier, node)
+                            continue
+                        args = c.args
+                    then = ((args[1],), 0, None, depth, barrier, node)
+                    node = ((args[0],), 0, None, depth + 1, len(cps), (_COMMIT, h, None, 0, 0, then))
+                    continue
+            elif goals == _COLLECT:
+                frame[0].append(self.resolve(frame[1], {}))
+            else:
+                del cps[i:]
+                if goals == _COMMIT:
+                    continue
             while True:
-                if not cps:
-                    return
-                cp = cps[-1]
-                kind = cp[0]
-                if len(trail) > cp[1]:
-                    self.undo(cp[1])
-                if kind == _CLAUSES:
-                    _, mark, clauses, j, args, depth, node = cp
-                    n = len(clauses)
-                    while j < n:
-                        clause = clauses[j]
-                        j += 1
-                        if clause.alive_at(self.snap):
-                            template = clause.template
-                            frame = [None] * template.slots
-                            if self.match_args(template.head, args, frame):
+                if clauses is None:  # no call to enter: resume the newest choicepoint
+                    if not cps:
+                        return False
+                    cp = cps.pop()
+                    if len(trail) > cp[1]:
+                        self.undo(cp[1])
+                    kind = cp[0]
+                    if kind == _CLAUSES:
+                        _, mark, clauses, j, args, depth, node = cp
+                    elif kind == _ANSWERS:
+                        _, mark, answers, args, node = cp
+                        for answer in answers:
+                            if take_answer(args, answer):
+                                cps.append(cp)
                                 break
                             self.undo(mark)
+                        else:
+                            continue
+                        break
+                    elif kind == _BRANCH:
+                        node = cp[2]
+                        break
                     else:
-                        cps.pop()
+                        _, mark, found, out, node = cp
+                        if self.unify(out, make_list(found)):
+                            break
                         continue
-                    barrier = len(cps) - 1
-                    if j < n:
-                        cps[-1] = (_CLAUSES, mark, clauses, j, args, depth, node)
-                    else:
-                        cps.pop()
-                    if template.goals:
-                        node = (template.goals, 0, frame, depth, barrier, node)
-                    else:
-                        count(depth)  # a fact's body `true`
-                    break
-                if kind == _ANSWERS:
-                    _, mark, answers, args, node = cp
-                    for answer in answers:
-                        if self.take_answer(args, answer):
+                # enter the first clause from `j` that is alive and whose head
+                # matches, leaving a choicepoint only if clauses remain after it
+                n = len(clauses)
+                while j < n:
+                    clause = clauses[j]
+                    j += 1
+                    if clause.alive_at(snap):
+                        template = clause.template
+                        if template.plain:
+                            frame = [*args, *template.pad]
+                            break
+                        frame = [None] * template.slots
+                        if self.match_args(template.head, args, frame):
                             break
                         self.undo(mark)
-                    else:
-                        cps.pop()
-                        continue
-                    break
-                cps.pop()
-                if kind == _BRANCH:
-                    node = cp[2]
-                    break
-                _, mark, found, out, node = cp
-                if self.unify(out, make_list(found)):
-                    break
+                else:
+                    clauses = None
+                    continue
+                barrier = len(cps)
+                if j < n:
+                    cps.append((_CLAUSES, mark, clauses, j, args, depth, node))
+                clauses = None
+                if template.goals:
+                    node = (template.goals, 0, frame, depth, barrier, node)
+                else:
+                    count(depth)  # a fact's body `true`
+                break
 
 
 # -- builtins --------------------------------------------------------------
@@ -585,13 +603,13 @@ class SolutionStream:
 
     The stream is open, and holds its snapshot's dead clauses in the
     store, from its creation until it is exhausted, raises, is closed or
-    is dropped.
+    is dropped.  Its choicepoints stay on its machine between solutions.
     """
 
     def __init__(self, machine: _Machine, goal: Term, names: dict[str, Var]):
         self._machine = machine
         self._names = names
-        self._run = machine.run(goal)
+        self._node = ((goal,), 0, None, 0, 0, None)
         machine.kb.open_stream()
         self._done = False
 
@@ -606,9 +624,12 @@ class SolutionStream:
     def next_solution(self) -> dict[str, Term] | None:
         if self._done:
             return None
+        machine = self._machine
+        # the first run starts the query; each later one refutes the last solution
+        node, self._node = self._node or (_REFUTE, len(machine.cps), None, 0, 0, None), None
         try:
-            if next(self._run, False):
-                resolve = self._machine.resolve
+            if machine.run(node):
+                resolve = machine.resolve
                 return {name: resolve(var) for name, var in self._names.items()}
         except BaseException:
             self.close()
@@ -664,8 +685,11 @@ class Engine:
 
     def prove(self, goal: Term) -> bool:
         """True iff the goal has at least one solution."""
-        stream = SolutionStream(self._machine(), goal, {})
-        return stream.next_solution() is not None
+        self.kb.open_stream()
+        try:
+            return self._machine().run(((goal,), 0, None, 0, 0, None))
+        finally:
+            self.kb.close_stream()
 
 
 def unify_terms(a: Term, b: Term) -> dict[int, Term] | None:

@@ -194,42 +194,64 @@ def _quote_atom(name: str) -> str:
     return f"'{body}'"
 
 
+def _atom_str(name: str) -> str:
+    return _quote_atom(name) if _atom_needs_quotes(name) else name
+
+
+def _commas(terms) -> list:
+    """Writer pieces for comma-separated arguments or list elements."""
+    pieces: list = []
+    for term in terms:
+        pieces += [",", (term, 999)]
+    return pieces[1:]
+
+
 def term_str(t: Term, max_prio: int = 1200) -> str:
-    """Render a term in the same syntax the reader accepts."""
-    k = type(t)
-    if k is Atom:
-        return _quote_atom(t.name) if _atom_needs_quotes(t.name) else t.name
-    if k is Int:
-        return str(t.value)
-    if k is Var:
-        return t.name if t.name else f"_G{t.id}"
-    if k is not Struct:
-        raise TypeError(f"not a term: {t!r}")
+    """Render a term in the same syntax the reader accepts.
 
-    if t.name == "." and len(t.args) == 2:
-        items, tail = iter_list(t)
-        inner = ",".join(term_str(i, 999) for i in items)
-        if tail == NIL:
-            return f"[{inner}]"
-        return f"[{inner}|{term_str(tail, 999)}]"
-
-    if len(t.args) == 2 and t.name in INFIX_OPS:
-        prio, typ = INFIX_OPS[t.name]
-        lp = prio if typ == "yfx" else prio - 1
-        rp = prio if typ == "xfy" else prio - 1
-        left = term_str(t.args[0], lp)
-        right = term_str(t.args[1], rp)
-        if t.name == ",":
-            body = f"{left},{right}"
+    Works over an explicit stack of pieces, each either text to emit or a
+    (term, priority) pair still to render, so a deeply nested term needs
+    no interpreter stack.
+    """
+    out: list[str] = []
+    todo: list = [(t, max_prio)]
+    while todo:
+        piece = todo.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        t, max_prio = piece
+        k = type(t)
+        if k is Atom:
+            out.append(_atom_str(t.name))
+            continue
+        if k is Int:
+            out.append(str(t.value))
+            continue
+        if k is Var:
+            out.append(t.name if t.name else f"_G{t.id}")
+            continue
+        if k is not Struct:
+            raise TypeError(f"not a term: {t!r}")
+        prio = 0  # an operator's priority; a list or canonical compound needs no brackets
+        if t.name == "." and len(t.args) == 2:
+            items, tail = iter_list(t)
+            pieces = ["[", *_commas(items)]
+            if tail != NIL:
+                pieces += ["|", (tail, 999)]
+            pieces.append("]")
+        elif len(t.args) == 2 and t.name in INFIX_OPS:
+            prio, typ = INFIX_OPS[t.name]
+            lp = prio if typ == "yfx" else prio - 1
+            rp = prio if typ == "xfy" else prio - 1
+            op = "," if t.name == "," else f" {t.name} "
+            pieces = [(t.args[0], lp), op, (t.args[1], rp)]
+        elif len(t.args) == 1 and t.name in PREFIX_OPS:
+            prio, typ = PREFIX_OPS[t.name]
+            pieces = [f"{t.name} ", (t.args[0], prio if typ == "fy" else prio - 1)]
         else:
-            body = f"{left} {t.name} {right}"
-        return f"({body})" if prio > max_prio else body
-
-    if len(t.args) == 1 and t.name in PREFIX_OPS:
-        prio, typ = PREFIX_OPS[t.name]
-        ap = prio if typ == "fy" else prio - 1
-        body = f"{t.name} {term_str(t.args[0], ap)}"
-        return f"({body})" if prio > max_prio else body
-
-    fname = _quote_atom(t.name) if _atom_needs_quotes(t.name) else t.name
-    return f"{fname}({','.join(term_str(a, 999) for a in t.args)})"
+            pieces = [f"{_atom_str(t.name)}(", *_commas(t.args), ")"]
+        if prio > max_prio:
+            pieces = ["(", *pieces, ")"]
+        todo.extend(reversed(pieces))
+    return "".join(out)

@@ -49,6 +49,25 @@ def test_gain_needs_nine_wins_in_ten_and_more_than_the_parent_spread(change, why
     assert not s["gain_holds"], why
 
 
+def test_extra_cost_is_each_scripted_pairing_over_native_on_its_map():
+    means = {
+        "warehouse": {"native": 0.5, "scripted:baseline": 1.0, "scripted:full": 1.5},
+        "airplane": {"native": 0.25, "scripted:baseline": 0.375, "scripted:full": 0.625},
+    }
+    assert compare.extra_cost(means) == {
+        "warehouse": {
+            "native": {"mean_ms": 0.5},
+            "scripted:baseline": {"mean_ms": 1.0, "x_native": 2.0},
+            "scripted:full": {"mean_ms": 1.5, "x_native": 3.0},
+        },
+        "airplane": {
+            "native": {"mean_ms": 0.25},
+            "scripted:baseline": {"mean_ms": 0.375, "x_native": 1.5},
+            "scripted:full": {"mean_ms": 0.625, "x_native": 2.5},
+        },
+    }
+
+
 def test_refuses_to_compare_across_a_benchmark_edit(tmp_path, monkeypatch, capsys):
     def git(*args):
         subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",

@@ -24,6 +24,7 @@ from rulebots.logic import (
 MEMBER = "mem(X, [X|_]). mem(X, [_|T]) :- mem(X, T)."
 COUNTDOWN = "cnt(0) :- !. cnt(N) :- M is N-1, cnt(M)."
 MAKE_LIST = "mk(0, []) :- !. mk(N, [N|T]) :- M is N-1, mk(M, T)."
+MAKE_SUM = "mkexp(0, 0) :- !. mkexp(N, E + 1) :- M is N-1, mkexp(M, E)."
 DOWN_FROM_1500 = "[" + ",".join(str(n) for n in range(1500, 0, -1)) + "]"
 
 CASES = [
@@ -157,6 +158,9 @@ CASES = [
     ("deep_list_answer", MAKE_LIST, "mk(1500, L)", [{"L": DOWN_FROM_1500}]),
     ("findall_copies_deep_list", MAKE_LIST, "mk(1500, _L), findall(_L, true, [C])",
      [{"C": DOWN_FROM_1500}]),
+    # ((0 + 1) + 1) + ... nests 1,500 deep on its left
+    ("arith_on_deep_expression", MAKE_SUM, "mkexp(1500, _E), X is _E", [{"X": "1500"}]),
+    ("write_deep_expression", MAKE_SUM, "mkexp(1500, _E), write(_E)", [{}]),
 ]
 
 

@@ -9,10 +9,11 @@ for the collector would also keep its snapshot's dead clauses stored.
 """
 
 import gc
+import sys
 
 import pytest
 
-from rulebots.logic import Engine, Int, read_term
+from rulebots.logic import Engine, Int, read_term, solver
 from rulebots.match import ControllerSpec, MatchConfig, run_match
 
 FULL_STACK = ("baseline", "cs_rules", "warehouse_tactics")
@@ -64,3 +65,29 @@ def test_dropped_stream_neither_pins_dead_clauses_nor_leaves_garbage():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_a_proof_enters_the_machine_once(monkeypatch):
+    # a proof's machine returns at its first answer and is dropped with its
+    # choicepoints: nothing is left suspended, to be resumed and unwound later
+    code = solver._Machine.run.__code__
+    entries = {"run": 0, "prove": 0}
+    prove = solver.Engine.prove
+
+    def counted_prove(engine, goal):
+        entries["prove"] += 1
+        return prove(engine, goal)
+
+    def profile(frame, event, arg):  # a generator's resume is a "call" too
+        if event == "call" and frame.f_code is code:
+            entries["run"] += 1
+
+    monkeypatch.setattr(solver.Engine, "prove", counted_prove)
+    side = ControllerSpec("native")
+    sys.setprofile(profile)
+    try:
+        run_match(MatchConfig(map_name="airplane", seed=1, rounds=6, ct=side, t=side))
+    finally:
+        sys.setprofile(None)
+    assert entries["prove"] > 3000
+    assert entries["run"] == entries["prove"]

@@ -286,7 +286,8 @@ def test_step_budget_stops_runaway_recursion():
 
 DEEP = (
     "cnt(0) :- !. cnt(N) :- M is N-1, cnt(M). "
-    "mk(0, []) :- !. mk(N, [N|T]) :- M is N-1, mk(M, T)."
+    "mk(0, []) :- !. mk(N, [N|T]) :- M is N-1, mk(M, T). "
+    "mkexp(0, 0) :- !. mkexp(N, E + 1) :- M is N-1, mkexp(M, E)."
 )
 
 
@@ -298,21 +299,25 @@ def test_default_depth_limit_is_the_one_reached():
 
 
 def test_deep_proofs_and_terms_need_no_interpreter_stack():
-    # the solver keeps its own stacks: a tiny recursion limit changes nothing
+    # the solver, the evaluator and the writer keep their own stacks: a tiny
+    # recursion limit changes nothing
     code = (
         "import sys\n"
         "from rulebots.logic import Engine\n"
-        "e = Engine(output=lambda s: None)\n"
+        "out = []\n"
+        "e = Engine(output=out.append)\n"
         f"e.consult({DEEP!r})\n"
         "sys.setrecursionlimit(250)\n"
         "print(len(e.run('cnt(1900)')), len(e.run('mk(1500, L), findall(L, true, [C])')))\n"
+        "print(e.run('mkexp(1500, _E), X is _E')[0]['X'].value)\n"
+        "print(e.run('mkexp(1500, _E), write(_E)'), out[0][:9], len(out[0]))\n"
     )
     src = Path(rulebots.logic.__file__).parents[2]
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "1 1\n"
+    assert done.stdout == "1 1\n1500\n[{}] 0 + 1 + 1 6001\n"
 
 
 def test_error_in_findall_goal_closes_the_stream():

@@ -2,12 +2,14 @@
 
 `reference_solver` is the generator solver the choicepoint loop replaced.
 Each example is a small program over a fixed signature: facts `f/2`, a
-dynamic `d/1`, and rules `p/1` and `q/1` whose bodies mix conjunction,
+dynamic `d/1`, rules `p/1` and `q/1` whose bodies mix conjunction,
 disjunction, if-then-else, negation, cut, `call/1`, `findall/3`,
-arithmetic, comparisons and updates of `d/1`.  A few queries run in turn
-on two fresh engines, one per solver, and after each the two must agree
-on the answers, the error raised, the steps counted at exit and the live
-clauses left in the store.
+arithmetic, comparisons and updates of `d/1`, a rule `r/2` whose heads
+repeat or fix an argument or not, a rule `s/1` of exactly one clause, and
+a nondet native `nat/2` with 0, 1 or 2 answers.  A few queries run in
+turn on two fresh engines, one per solver, and after each the two must
+agree on the answers, the error raised, the steps counted at exit and the
+live clauses left in the store.
 """
 
 import re
@@ -15,7 +17,7 @@ import re
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_solver
-from rulebots.logic import Engine, KnowledgeBase, LogicError, read_term, term_str
+from rulebots.logic import Atom, Engine, Int, KnowledgeBase, LogicError, read_term, term_str
 
 MAX_STEPS = 2000
 MAX_DEPTH = 60
@@ -34,6 +36,9 @@ LEAVES = st.one_of(
     _fmt("d({})", 1),
     _fmt("p({})", 1),
     _fmt("q({})", 1),
+    _fmt("r({}, {})", 2),
+    _fmt("s({})", 1),
+    _fmt("nat({}, {})", 2),
     _fmt("{} is {} + 1", 2),
     _fmt("{} < {}", 2),
     _fmt("{} =< {}", 2),
@@ -68,19 +73,42 @@ def _clauses(name: str):
     return st.lists(clause, min_size=1, max_size=3)
 
 
+# the one clause of s/1 often ends in a cut, which must stay inside it
+S_CLAUSE = st.tuples(ARGS, GOALS, st.sampled_from(["", ", !"])).map(
+    lambda c: f"s({c[0]}) :- {c[1]}{c[2]}."
+)
+# distinct variables, the same two swapped, a repeated one and a constant
+R_HEADS = st.sampled_from(["r(X, Y)", "r(Y, X)", "r(X, X)", "r(a, Y)"])
+R_CLAUSE = st.tuples(R_HEADS, GOALS).map(lambda c: f"{c[0]} :- {c[1]}.")
+
 PROGRAMS = st.tuples(
     st.lists(st.tuples(CONSTS, CONSTS).map(lambda a: f"f({a[0]}, {a[1]})."), max_size=4),
     st.lists(CONSTS.map(lambda a: f"d({a})."), max_size=3),
     _clauses("p"),
     _clauses("q"),
+    st.lists(R_CLAUSE, min_size=1, max_size=3),
+    st.lists(S_CLAUSE, min_size=1, max_size=1),
 ).map(lambda parts: "\n".join(line for part in parts for line in part))
 
-QUERIES = st.lists(st.one_of(st.sampled_from(["p(X)", "q(X)", "d(X)"]), GOALS), min_size=1, max_size=3)
+QUERIES = st.lists(
+    st.one_of(st.sampled_from(["p(X)", "q(X)", "d(X)", "r(X, Y)", "f(X, Y), s(Y)"]), GOALS),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _nat(n, m):
+    """`m` counts up from 0 to below `n`, for at most two answers; an atom
+    answers once, as itself; an unbound `n` has no answer."""
+    if type(n) is Atom:
+        return [(n, n)]
+    return [(n, Int(i)) for i in range(min(n.value, 2))] if type(n) is Int else []
 
 
 def _engine(engine_class, program: str):
     kb = KnowledgeBase()
     kb.declare_dynamic("d", 1)
+    kb.register_native("nat", 2, _nat, nondet=True)
     e = engine_class(kb, max_steps=MAX_STEPS, max_depth=MAX_DEPTH, output=lambda s: None)
     e.consult(program)
     return e
