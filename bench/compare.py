@@ -17,13 +17,16 @@ the repository.  The change is this checkout's working tree.
    timings of two programs that behave differently are not compared.
 2. Each side's ``perfbench/reference.py`` measures the mean CPU time per
    tick of the six pairings at seed 0 over 12 rounds, in a process of
-   its own; each scripted pairing's ratio to native on its map, the
-   paper's known extra cost, goes beside them.
+   its own, three times with the sides alternated; the median of each
+   pairing is kept, and each scripted pairing's ratio to native on its
+   map, the paper's known extra cost, goes beside it.
 3. For each workload of ``BENCHMARK.json``, pairs 1 to 10 run
    ``perfbench/run.py`` for the benchmark's run length, at the pair's
    number as the seed, on both sides: base first on odd pairs, change
    first on even ones.
-4. Each side makes one traced run per workload at seed 1.
+4. Each side makes three traced runs per workload at seed 1, the sides
+   alternated, and keeps the median of each per-layer metric: one traced
+   run's timings are too noisy to show a layer's change.
 5. ``bench/BENCH_<tag>.json`` gets, per workload and end-to-end metric,
    every pair's values, both medians, the base's quartiles, the change's
    win count and whether the gain holds: at least nine wins in ten, and a
@@ -55,6 +58,7 @@ PAIRINGS = [
     for controller in ("native", "scripted:baseline", FULL_STACK)
 ]
 SEEDS = range(1, 11)
+REPEATS = 3  # runs per side of each traced workload and of the cost per tick
 BENCHMARK = ("perfbench", "BENCHMARK.json")
 # Prints {map: {pairing: mean ms per tick}} from perfbench/reference.py.
 COST_PER_TICK = (
@@ -104,10 +108,29 @@ def extra_cost(means: dict[str, dict[str, float]]) -> dict:
     }
 
 
+def median_each(runs: list[dict]) -> dict:
+    """The median of each number across runs of the same shape, dicts nested or not."""
+    first = runs[0]
+    return {
+        k: median_each([r[k] for r in runs]) if isinstance(first[k], dict)
+        else statistics.median(r[k] for r in runs)
+        for k in first
+    }
+
+
+def _alternated(sides: dict[str, Path], measure) -> dict[str, list]:
+    """``REPEATS`` results of ``measure(side)`` for each side; the sides take turns to go first."""
+    results: dict[str, list] = {name: [] for name in sides}
+    for r in range(REPEATS):
+        for name in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
+            results[name].append(measure(sides[name]))
+    return results
+
+
 def _cost_per_tick(side: Path) -> dict:
     done = subprocess.run([sys.executable, "-c", COST_PER_TICK], cwd=side, check=True,
                           capture_output=True, text=True)
-    return extra_cost(json.loads(done.stdout.strip().splitlines()[-1]))
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def _git(*args: str) -> str:
@@ -202,7 +225,8 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
         report["trace_sha256"] = hashes["change"]
-        report["cost_per_tick"] = {name: _cost_per_tick(side) for name, side in sides.items()}
+        costs = _alternated(sides, _cost_per_tick)
+        report["cost_per_tick"] = {name: extra_cost(median_each(c)) for name, c in costs.items()}
         report["workloads"] = {}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "change": []}
@@ -223,7 +247,10 @@ def main(argv=None) -> int:
                     for m in spec["end_to_end"]
                 },
                 # a traced run ignores the run length; 1 is a placeholder
-                "traced_seed_1": {n: _bench(sides[n], workload, 1, 1, 1)["metrics"] for n in runs},
+                "traced_seed_1": {
+                    n: median_each(traced) for n, traced in _alternated(
+                        sides, lambda side: _bench(side, workload, 1, 1, 1)["metrics"]).items()
+                },
             }
     finally:
         shutil.rmtree(tmp)

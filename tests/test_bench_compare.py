@@ -68,6 +68,18 @@ def test_extra_cost_is_each_scripted_pairing_over_native_on_its_map():
     }
 
 
+def test_median_each_takes_every_number_across_runs():
+    runs = [
+        {"rate": 3.0, "warehouse": {"native": 0.5, "scripted:full": 1.25}},
+        {"rate": 1.0, "warehouse": {"native": 0.75, "scripted:full": 1.0}},
+        {"rate": 2.0, "warehouse": {"native": 0.25, "scripted:full": 2.0}},
+    ]
+    assert compare.median_each(runs) == {
+        "rate": 2.0,
+        "warehouse": {"native": 0.5, "scripted:full": 1.25},
+    }
+
+
 def test_refuses_to_compare_across_a_benchmark_edit(tmp_path, monkeypatch, capsys):
     def git(*args):
         subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
