@@ -69,19 +69,37 @@ class ClauseTemplate:
 
 
 def _pattern(t: Term, slots: dict[int, int]):
-    """A term as a template: slot numbers for variables, ground parts shared."""
+    """A term as a template: slot numbers for variables, ground parts shared.
+
+    A variable or an atomic term, such as each argument of an asserted
+    `val(K, V)` fact, converts at once.  A compound is walked over an
+    explicit stack, variables numbered in first-occurrence order, so a
+    long list needs no interpreter stack.
+    """
     k = type(t)
     if k is Var:
         slot = slots.get(t.id)
         if slot is None:
             slot = slots[t.id] = len(slots)
         return slot
-    if k is Struct:
-        args = tuple([_pattern(a, slots) for a in t.args])
-        if all(p is a for p, a in zip(args, t.args)):
-            return t
-        return (t.name, args)
-    return t
+    if k is not Struct:
+        return t
+    done: list = []
+    todo: list = [t]
+    while todo:
+        x = todo.pop()
+        k = type(x)
+        if k is tuple:  # (compound, where its argument patterns start in `done`)
+            x, start = x
+            args = tuple(done[start:])
+            del done[start:]
+            done.append(x if all(p is a for p, a in zip(args, x.args)) else (x.name, args))
+        elif k is Struct:
+            todo.append((x, len(done)))
+            todo.extend(reversed(x.args))
+        else:
+            done.append(_pattern(x, slots))
+    return done[0]
 
 
 # A match consults four texts (the prelude and up to three packages) into

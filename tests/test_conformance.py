@@ -3,13 +3,15 @@
 Each case is (name, program, query, expected).  Expected is either a list
 of solutions, one name -> rendered-term dict per solution in order, or an
 exception type.  Answers were worked out by hand from the resolution
-rules; nothing here is generated by the engine under test.
+rules; nothing here is generated by the engine under test.  The rows in
+`REFERENCE_CASES` also check the differential test's reference interpreter.
 """
 
 import time
 
 import pytest
 
+from reference_engine import Reference
 from rulebots.logic import (
     BudgetExceededError,
     Engine,
@@ -18,6 +20,7 @@ from rulebots.logic import (
     InstantiationError,
     NotPermittedError,
     TermTypeError,
+    read_term,
     term_str,
 )
 
@@ -152,6 +155,10 @@ CASES = [
     ("error_assert_reserved", "", "assertz(true)", NotPermittedError),
     ("error_call_unbound", "", "call(X)", InstantiationError),
     ("error_call_integer", "", "call(1)", TermTypeError),
+]
+# The differential test's reference interpreter runs every row above; those below need deep stacks.
+REFERENCE_CASES = list(CASES)
+CASES += [
     # -- depth: proofs and terms deeper than Python's own stack -------
     ("depth_1900_within_default_limit", COUNTDOWN, "cnt(1900)", [{}]),
     ("depth_2100_past_default_limit", COUNTDOWN, "cnt(2100)", BudgetExceededError),
@@ -161,27 +168,39 @@ CASES = [
     # ((0 + 1) + 1) + ... nests 1,500 deep on its left
     ("arith_on_deep_expression", MAKE_SUM, "mkexp(1500, _E), X is _E", [{"X": "1500"}]),
     ("write_deep_expression", MAKE_SUM, "mkexp(1500, _E), write(_E)", [{}]),
+    # a long ground list in a consulted or asserted clause needs no interpreter stack
+    ("consult_fact_holding_deep_list", f"saved({DOWN_FROM_1500}).", "saved(L)",
+     [{"L": DOWN_FROM_1500}]),
+    ("assert_call_retract_deep_list_clause", f"{MAKE_LIST} saved({DOWN_FROM_1500}).",
+     "mk(1500, _L), assertz(saved(_L)), saved(_L), retract(saved(_L)), \\+ retract(saved(_L))",
+     [{}]),
 ]
 
 
-def run_case(program, query, max_steps=200_000):
-    e = Engine(max_steps=max_steps, output=lambda s: None)
+def run_case(program, query, engine=None):
+    """`query`'s answers as text, on `engine` or a fresh `Engine`, after consulting `program`."""
+    e = engine or Engine(max_steps=200_000, output=lambda s: None)
     if program:
         e.consult(program)
-    return [
-        {name: term_str(term) for name, term in sol.items()}
-        for sol in e.run(query)
-    ]
+    goal, varmap = read_term(query)
+    names = {n: v for n, v in varmap.items() if not n.startswith("_")}
+    return [{name: term_str(term) for name, term in sol.items()} for sol in e.solve(goal, names)]
 
 
 @pytest.mark.parametrize("name,program,query,expected",
                          CASES, ids=[c[0] for c in CASES])
-def test_conformance_case(name, program, query, expected):
+def test_conformance_case(name, program, query, expected, engine=None):
     if isinstance(expected, type):
         with pytest.raises(expected):
-            run_case(program, query)
+            run_case(program, query, engine)
     else:
-        assert run_case(program, query) == expected
+        assert run_case(program, query, engine) == expected
+
+
+@pytest.mark.parametrize("name,program,query,expected",
+                         REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_reference_conformance_case(name, program, query, expected):
+    test_conformance_case(name, program, query, expected, Reference())
 
 
 def test_budget_case_counts_too():
