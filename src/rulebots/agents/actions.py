@@ -37,8 +37,6 @@ from rulebots.sim.pathfind import shortest_path
 
 NORMALIZE_LIMIT = 32
 
-ACTION_KINDS = ("goto", "kill", "liberate_hostages", "guard", "buy", "wait")
-
 
 @dataclass
 class Action:
@@ -118,11 +116,7 @@ class ActionExecutor:
         if kind == "kill":
             return False
         if kind == "liberate_hostages":
-            if any(
-                h.following == self.bot_id
-                for h in self.world.hostages.values()
-                if not h.rescued
-            ):
+            if any(h.following == self.bot_id for h in self.world.led_hostages()):
                 return True
             return self._nearest_free_hostage() is None
         if kind == "guard":
@@ -197,10 +191,7 @@ class ActionExecutor:
         bot = self.world.bots[self.bot_id]
         my = self.world.nearest_wp(bot)
         best = None
-        for hid in sorted(self.world.hostages):
-            h = self.world.hostages[hid]
-            if h.rescued or h.following is not None:
-                continue
+        for h in self.world.free_hostages():
             cost = self.world.map.cost(my, h.node)
             if best is None or cost < best[0]:
                 best = (cost, h)

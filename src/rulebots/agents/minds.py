@@ -154,19 +154,13 @@ class NativeMind(Mind):
             self._t_decide()
 
     def _first_visible_enemy(self) -> int | None:
-        bot = self.world.bots[self.bot_id]
-        for viewer, seen in self.world.fov_pairs():
-            if viewer == self.bot_id and self.world.bots[seen].team != bot.team:
+        for viewer, seen in self.world.enemy_pairs():
+            if viewer == self.bot_id:
                 return seen
         return None
 
     def _ct_decide(self) -> None:
-        world = self.world
-        if any(
-            h.following == self.bot_id
-            for h in world.hostages.values()
-            if not h.rescued
-        ):
+        if any(h.following == self.bot_id for h in self.world.led_hostages()):
             self._head_home()
             return
         target = self._pick_hostage_node()
@@ -179,10 +173,7 @@ class NativeMind(Mind):
         world = self.world
         my = world.nearest_wp(world.bots[self.bot_id])
         best = None
-        for hid in sorted(world.hostages):
-            hostage = world.hostages[hid]
-            if hostage.rescued or hostage.following is not None:
-                continue
+        for hostage in world.free_hostages():
             cost = world.map.cost(my, hostage.node)
             if best is None or cost < best[0]:
                 best = (cost, hostage.node)

@@ -1,14 +1,18 @@
 """Read-only views of the game world exposed as logic predicates.
 
-Every predicate enumerates in ascending id order and only reports living
-bots, so rule programs see a stable, deterministic world.  Bound
-arguments of the wrong type raise a type error instead of failing
-silently; that catches rule bugs early.
+Fourteen natives are views, each declared once: a function that gives its
+rows as plain ints and strings, and each argument's kind.  One selector
+checks each bound argument's type, keeps the rows that agree with it and
+wraps them as terms.  Rows come in ascending id order and report only
+living bots, since `WorldState.bots` and `hostages` hold ids in ascending
+order.  A bound argument of the wrong type raises a type error instead of
+failing silently; that catches rule bugs early.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from operator import attrgetter
 
 from rulebots.logic import (
     Atom,
@@ -22,148 +26,68 @@ from rulebots.logic import (
 )
 from rulebots.sim import WorldState
 
+# Argument kinds: (term class, what a bound argument must be).
+BOT = (Int, "integer bot id")
+WAYPOINT = (Int, "integer waypoint id")
+HOSTAGE = (Int, "integer hostage id")
 
-def _int_or_none(term: Term, what: str) -> int | None:
-    """Bound integer value, or None when the argument is still open."""
-    if isinstance(term, Var):
+
+def _bound(term: Term, kind: tuple):
+    """A bound argument's plain value, or None while it is open."""
+    if type(term) is Var:
         return None
-    if isinstance(term, Int):
-        return term.value
-    raise TermTypeError(f"integer {what}", term_str(term))
+    cls, expected = kind
+    if type(term) is not cls:
+        raise TermTypeError(expected, term_str(term))
+    return term.value if cls is Int else term.name
 
 
-def _atom_or_none(term: Term, what: str) -> str | None:
-    if isinstance(term, Var):
-        return None
-    if isinstance(term, Atom):
-        return term.name
-    raise TermTypeError(f"atom {what}", term_str(term))
+def select(rows_of, kinds, world, board, a, b=None):
+    """The rows of a view that agree with every bound argument, as terms.
+    A view has one or two arguments; `b` is None for a view of one."""
+    va = _bound(a, kinds[0])
+    vb = None if b is None else _bound(b, kinds[1])
+    rows = rows_of(world)
+    if va is not None:
+        rows = [row for row in rows if row[0] == va]
+    if vb is not None:
+        rows = [row for row in rows if row[1] == vb]
+    if b is None:
+        wrap = kinds[0][0]
+        return [(wrap(x),) for (x,) in rows]
+    (wrap_a, _), (wrap_b, _) = kinds
+    return [(wrap_a(x), wrap_b(y)) for x, y in rows]
 
 
-def _alive_ids(world):
-    return [b for b in sorted(world.bots) if world.bots[b].alive]
+def _view(rows_of, *kinds):
+    return partial(select, rows_of, kinds)
 
 
-def bot_in_fov(world, board, a, b):
-    va = _int_or_none(a, "bot id")
-    vb = _int_or_none(b, "bot id")
-    out = []
-    for pa, pb in world.fov_pairs():
-        if va is not None and pa != va:
-            continue
-        if vb is not None and pb != vb:
-            continue
-        out.append((Int(pa), Int(pb)))
-    return out
+def _bot_field(field: str, kind: tuple):
+    """A view of one field of each living bot: rows (bot id, value)."""
+    value = attrgetter(field)
+    return _view(lambda w: [(b.id, value(b)) for b in w.bots.values() if b.alive], BOT, kind)
 
 
-def visible_enemy(world, board, a, b):
-    va = _int_or_none(a, "bot id")
-    vb = _int_or_none(b, "bot id")
-    out = []
-    for pa, pb in world.fov_pairs():
-        if world.bots[pa].team == world.bots[pb].team:
-            continue
-        if va is not None and pa != va:
-            continue
-        if vb is not None and pb != vb:
-            continue
-        out.append((Int(pa), Int(pb)))
-    return out
+def _waypoints(world):
+    return [(b.id, world.nearest_wp(b)) for b in world.bots.values() if b.alive]
 
 
-def bot_alive(world, board, b):
-    vb = _int_or_none(b, "bot id")
-    return [(Int(i),) for i in _alive_ids(world) if vb is None or i == vb]
-
-
-def _per_bot(value_of, value_check, value_what):
-    def handler(world, board, b, v):
-        vb = _int_or_none(b, "bot id")
-        value_check(v, value_what)
-        return [
-            (Int(i), value_of(world, world.bots[i]))
-            for i in _alive_ids(world)
-            if vb is None or i == vb
-        ]
-
-    return handler
-
-
-def hostage_at(world, board, h, w):
-    vh = _int_or_none(h, "hostage id")
-    _int_or_none(w, "waypoint id")
-    out = []
-    for hid in sorted(world.hostages):
-        hostage = world.hostages[hid]
-        if hostage.rescued or hostage.following is not None:
-            continue
-        if vh is not None and hid != vh:
-            continue
-        out.append((Int(hid), Int(hostage.node)))
-    return out
-
-
-def hostage_following(world, board, h, b):
-    vh = _int_or_none(h, "hostage id")
-    _int_or_none(b, "bot id")
-    out = []
-    for hid in sorted(world.hostages):
-        hostage = world.hostages[hid]
-        if hostage.rescued or hostage.following is None:
-            continue
-        if vh is not None and hid != vh:
-            continue
-        out.append((Int(hid), Int(hostage.following)))
-    return out
-
-
-def hear_footsteps(world, board, a, b):
-    va = _int_or_none(a, "bot id")
-    vb = _int_or_none(b, "bot id")
+def _footsteps(world):
     limit = world.config.hearing_range_cm
-    out = []
-    ids = _alive_ids(world)
-    for i in ids:
-        if va is not None and i != va:
-            continue
-        wi = world.nearest_wp(world.bots[i])
-        for j in ids:
-            if j == i:
-                continue
-            if vb is not None and j != vb:
-                continue
-            if world.map.cost(world.nearest_wp(world.bots[j]), wi) <= limit:
-                out.append((Int(i), Int(j)))
-    return out
+    at = _waypoints(world)
+    return [(i, j) for i, wi in at for j, wj in at if j != i and world.map.cost(wj, wi) <= limit]
 
 
-def round_time_left(world, board, s):
-    _int_or_none(s, "seconds")
-    return [(Int(world.clock // 4),)]
-
-
-def game_phase(world, board, p):
-    _atom_or_none(p, "phase")
-    return [(Atom(world.phase),)]
-
-
-def waypoint_tag(world, board, w, tag):
-    vw = _int_or_none(w, "waypoint id")
-    _atom_or_none(tag, "tag")
-    out = []
-    for wid in world.map.ids:
-        if vw is not None and wid != vw:
-            continue
-        for t in world.map.waypoints[wid].tags:
-            out.append((Int(wid), Atom(t)))
-    return out
+def _tags(world):
+    waypoints = world.map.waypoints
+    return [(wid, tag) for wid in world.map.ids for tag in waypoints[wid].tags]
 
 
 def path_cost(world, board, a, b, c):
-    va = _int_or_none(a, "waypoint id")
-    vb = _int_or_none(b, "waypoint id")
-    _int_or_none(c, "path cost")
+    va = _bound(a, WAYPOINT)
+    vb = _bound(b, WAYPOINT)
+    _bound(c, (Int, "integer path cost"))
     if va is None or vb is None:
         raise InstantiationError("path_cost/3 needs both waypoint ids bound")
     if va not in world.map.waypoints or vb not in world.map.waypoints:
@@ -192,23 +116,26 @@ def team_fact(world, board, pattern):
 # Every perception native: (name, arity) -> (handler, nondet).  A handler
 # takes the world and the team blackboard before its rule arguments.
 PERCEPTION_NATIVES = {
-    ("bot_in_fov", 2): (bot_in_fov, True),
-    ("visible_enemy", 2): (visible_enemy, True),
-    ("bot_alive", 1): (bot_alive, True),
-    ("team", 2): (_per_bot(lambda world, bot: Atom(bot.team), _atom_or_none, "team name"), True),
-    ("health", 2): (_per_bot(lambda world, bot: Int(bot.health), _int_or_none, "health"), True),
-    ("ammo", 2): (_per_bot(lambda world, bot: Int(bot.ammo), _int_or_none, "ammo"), True),
-    ("money", 2): (_per_bot(lambda world, bot: Int(bot.money), _int_or_none, "money"), True),
-    ("at_waypoint", 2): (
-        _per_bot(lambda world, bot: Int(world.nearest_wp(bot)), _int_or_none, "waypoint id"),
+    ("bot_in_fov", 2): (_view(lambda w: w.fov_pairs(), BOT, BOT), True),
+    ("visible_enemy", 2): (_view(lambda w: w.enemy_pairs(), BOT, BOT), True),
+    ("bot_alive", 1): (_view(lambda w: [(b.id,) for b in w.bots.values() if b.alive], BOT), True),
+    ("team", 2): (_bot_field("team", (Atom, "atom team name")), True),
+    ("health", 2): (_bot_field("health", (Int, "integer health")), True),
+    ("ammo", 2): (_bot_field("ammo", (Int, "integer ammo")), True),
+    ("money", 2): (_bot_field("money", (Int, "integer money")), True),
+    ("at_waypoint", 2): (_view(_waypoints, BOT, WAYPOINT), True),
+    ("hostage_at", 2): (
+        _view(lambda w: [(h.id, h.node) for h in w.free_hostages()], HOSTAGE, WAYPOINT),
         True,
     ),
-    ("hostage_at", 2): (hostage_at, True),
-    ("hostage_following", 2): (hostage_following, True),
-    ("hear_footsteps", 2): (hear_footsteps, True),
-    ("round_time_left", 1): (round_time_left, False),
-    ("game_phase", 1): (game_phase, False),
-    ("waypoint_tag", 2): (waypoint_tag, True),
+    ("hostage_following", 2): (
+        _view(lambda w: [(h.id, h.following) for h in w.led_hostages()], HOSTAGE, BOT),
+        True,
+    ),
+    ("hear_footsteps", 2): (_view(_footsteps, BOT, BOT), True),
+    ("round_time_left", 1): (_view(lambda w: [(w.clock // 4,)], (Int, "integer seconds")), False),
+    ("game_phase", 1): (_view(lambda w: [(w.phase,)], (Atom, "atom phase")), False),
+    ("waypoint_tag", 2): (_view(_tags, WAYPOINT, (Atom, "atom tag")), True),
     ("path_cost", 3): (path_cost, False),
     ("team_assert", 1): (team_assert, False),
     ("team_retract", 1): (team_retract, False),

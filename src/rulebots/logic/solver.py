@@ -210,30 +210,11 @@ class _Machine:
         return done[0]
 
     def term_equal(self, a: Term, b: Term) -> bool:
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            x = self.deref(x)
-            y = self.deref(y)
-            if x is y:
-                continue
-            kx = type(x)
-            if kx is not type(y):
-                return False
-            if kx is Var:
-                if x.id != y.id:
-                    return False
-            elif kx is Atom:
-                if x.name != y.name:
-                    return False
-            elif kx is Int:
-                if x.value != y.value:
-                    return False
-            else:
-                if x.name != y.name or len(x.args) != len(y.args):
-                    return False
-                stack.extend(zip(x.args, y.args))
-        return True
+        """Structural identity: the terms unify without binding a variable."""
+        mark = len(self.trail)
+        same = self.unify(a, b) and len(self.trail) == mark
+        self.undo(mark)
+        return same
 
     # -- arithmetic --------------------------------------------------------
 

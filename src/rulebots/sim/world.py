@@ -133,6 +133,7 @@ class WorldState:
         self._seq = 0
         self._fov_key: tuple[int, int] | None = None
         self._fov_pairs: tuple[tuple[int, int], ...] = ()
+        self._enemy_pairs: tuple[tuple[int, int], ...] = ()
         n = config.team_size
         for i in range(2 * n):
             team = CT if i < n else T
@@ -238,8 +239,24 @@ class WorldState:
             self._fov_pairs = tuple(
                 (a, b) for a in alive for b in alive if a != b and self.in_fov(a, b)
             )
+            self._enemy_pairs = tuple(
+                (a, b) for a, b in self._fov_pairs if self.bots[a].team != self.bots[b].team
+            )
             self._fov_key = key
         return self._fov_pairs
+
+    def enemy_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The cross-team pairs of `fov_pairs`, in order; built and cached with them."""
+        self.fov_pairs()
+        return self._enemy_pairs
+
+    def free_hostages(self) -> list[HostageState]:
+        """Hostages neither rescued nor led, in ascending id order like ``self.hostages``."""
+        return [h for h in self.hostages.values() if not h.rescued and h.following is None]
+
+    def led_hostages(self) -> list[HostageState]:
+        """Hostages not yet rescued that follow a bot, in ascending id order."""
+        return [h for h in self.hostages.values() if not h.rescued and h.following is not None]
 
     # -- events ---------------------------------------------------------
 

@@ -96,6 +96,7 @@ TESTS = {
     ("\\=", 2): lambda ref, a, s, d: s if unify(a[:1], a[1:], s) is None else None,
     ("==", 2): lambda ref, a, s, d: s if resolve(a[0], s) == resolve(a[1], s) else None,
     ("\\==", 2): lambda ref, a, s, d: s if resolve(a[0], s) != resolve(a[1], s) else None,
+    ("var", 1): lambda ref, a, s, d: s if type(walk(a[0], s)) is Var else None,
     ("is", 2): lambda ref, a, s, d: unify(a[:1], (Int(evaluate(a[1], s)),), s),
     **{(name, 2): lambda ref, a, s, d, op=op: s if op(evaluate(a[0], s), evaluate(a[1], s)) else None
        for name, op in [("<", int.__lt__), (">", int.__gt__), ("=<", int.__le__),

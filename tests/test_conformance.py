@@ -146,6 +146,11 @@ CASES = [
     ("arith_comparison_chain", "",
      "3 > 2, 2 >= 2, 1 =< 1, 1 < 2, 5 =:= 5, 4 =\\= 5", [{}]),
     ("structural_eq_does_not_evaluate", "", "1 + 2 == 3", []),
+    # -- structural identity: equal terms, and no binding left behind --
+    ("identity_of_distinct_vars_fails", "", "X == Y", []),
+    ("identity_through_a_binding", "", "X = f(Y), X == f(Y)", [{"X": "f(Y)", "Y": "Y"}]),
+    ("identity_differs_in_one_arg", "", "f(X, a) == f(X, b)", []),
+    ("non_identity_leaves_vars_free", "", "X \\== Y, var(X), var(Y)", [{"X": "X", "Y": "Y"}]),
     # -- errors -------------------------------------------------------
     ("error_undefined_predicate", "", "no_such(1)", ExistenceError),
     ("error_unbound_arith", "", "X is Y + 1", InstantiationError),

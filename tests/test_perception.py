@@ -1,10 +1,15 @@
 """World-view predicates: enumeration order, filtering, guard errors."""
 
+from functools import lru_cache
+
 import pytest
 
 import support
 from rulebots.agents import TeamBlackboard, register_perception
 from rulebots.logic import Engine, InstantiationError, KnowledgeBase, TermTypeError, term_str
+from rulebots.match import MatchConfig
+from rulebots.match.match import build_match
+from rulebots.match.round import play_tick, start_round
 
 
 def percept(world):
@@ -163,3 +168,119 @@ def test_blackboard_predicates():
     assert len(board) == 1
     with pytest.raises(InstantiationError):
         eng.run("team_assert(spotted(_X, 1))")
+
+
+# -- every view under every binding pattern ----------------------------
+
+# What a bound argument of each view must be, position by position, as
+# its type error names it.
+VIEW_ARGS = {
+    "bot_in_fov": ("integer bot id", "integer bot id"),
+    "visible_enemy": ("integer bot id", "integer bot id"),
+    "bot_alive": ("integer bot id",),
+    "team": ("integer bot id", "atom team name"),
+    "health": ("integer bot id", "integer health"),
+    "ammo": ("integer bot id", "integer ammo"),
+    "money": ("integer bot id", "integer money"),
+    "at_waypoint": ("integer bot id", "integer waypoint id"),
+    "hostage_at": ("integer hostage id", "integer waypoint id"),
+    "hostage_following": ("integer hostage id", "integer bot id"),
+    "hear_footsteps": ("integer bot id", "integer bot id"),
+    "round_time_left": ("integer seconds",),
+    "game_phase": ("atom phase",),
+    "waypoint_tag": ("integer waypoint id", "atom tag"),
+}
+
+WORLDS = ["line"] + [
+    f"{map_name}-{seed}-{ticks}"
+    for map_name in ("warehouse", "airplane")
+    for seed in range(3)
+    for ticks in (40, 120)
+]
+
+
+def play(world, boards, minds, ticks):
+    """Yield before each of `ticks` ticks, starting the next round when one ends."""
+    round_no = 0
+    start_round(world, minds, boards, round_no)
+    for _ in range(ticks):
+        if world.outcome is not None:
+            round_no += 1
+            start_round(world, minds, boards, round_no)
+        yield
+        play_tick(world, minds)
+
+
+@lru_cache(maxsize=None)
+def played_world(name):
+    """The line world in play, or a native match's world after some ticks."""
+    if name == "line":
+        world = support.line_world(team_size=2)
+        support.skip_buy_phase(world)
+        world.hostages[0].following = 2  # a led hostage, so every view has rows
+        return world
+    map_name, seed, ticks = name.split("-")
+    world, boards, minds = build_match(MatchConfig(map_name=map_name, seed=int(seed)))
+    for _ in play(world, boards, minds, int(ticks)):
+        pass
+    return world
+
+
+@pytest.mark.parametrize("world_name", WORLDS)
+@pytest.mark.parametrize("view", VIEW_ARGS)
+def test_bound_arguments_select_the_open_answers(view, world_name):
+    eng, _ = percept(played_world(world_name))
+    kinds = VIEW_ARGS[view]
+    names = ["A", "B"][: len(kinds)]
+
+    def query(args):
+        return f"{view}({', '.join(args)})"
+
+    def rows(args):
+        """Each answer as a full row of argument texts, bound ones as given."""
+        return [tuple(term_str(s[a]) if a in names else a for a in args) for s in eng.run(query(args))]
+
+    every = rows(names)
+    for i, kind in enumerate(kinds):
+        absent = "nowhere" if kind.startswith("atom") else "999"
+        values = list(dict.fromkeys(row[i] for row in every))
+        assert absent not in values
+        for value in values + [absent]:
+            args = names[:i] + [value] + names[i + 1:]
+            assert rows(args) == [row for row in every if row[i] == value]
+        wrong = "17" if kind.startswith("atom") else "foo"
+        with pytest.raises(TermTypeError) as err:
+            eng.run(query(names[:i] + [wrong] + names[i + 1:]))
+        assert str(err.value) == f"expected {kind}, got '{wrong}'"
+    if len(names) == 2:
+        for row in every:
+            assert rows(list(row)) == [row] * every.count(row)
+
+
+def test_every_view_has_rows_in_some_world():
+    assert all(
+        any(percept(played_world(w))[0].run(f"{view}({', '.join('_' * len(kinds))})") for w in WORLDS)
+        for view, kinds in VIEW_ARGS.items()
+    )
+
+
+def test_shared_world_views_across_ticks_and_rounds():
+    led_seen = 0
+    for map_name in ("warehouse", "airplane"):
+        world, boards, minds = build_match(MatchConfig(map_name=map_name, seed=1))
+        for _ in play(world, boards, minds, 200):
+            bots = world.bots
+            # asked first in the tick, enemy_pairs builds the tick's pairs itself
+            enemies = world.enemy_pairs()
+            assert enemies == tuple(
+                (a, b) for a, b in world.fov_pairs() if bots[a].team != bots[b].team
+            )
+            free = [h.id for h in world.free_hostages()]
+            led = [h.id for h in world.led_hostages()]
+            assert free == sorted(free) and led == sorted(led)
+            assert sorted(free + led) == sorted(h.id for h in world.hostages.values() if not h.rescued)
+            assert all(world.hostages[h].following is None for h in free)
+            assert all(world.hostages[h].following is not None for h in led)
+            led_seen += len(led)
+        assert world.round_no > 1
+    assert led_seen > 0
