@@ -13,6 +13,7 @@ from rulebots.logic.terms import (
     INT_MAX,
     NIL,
     PREFIX_OPS,
+    SYMBOL_CHARS,
     TRUE,
     Atom,
     Int,
@@ -23,8 +24,8 @@ from rulebots.logic.terms import (
     make_list,
 )
 
-_SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#$&")
 _ESCAPES = {"\\": "\\", "'": "'", "n": "\n", "t": "\t"}
+_SOLO_CHARS = {**dict.fromkeys("()[]|,", "punct"), "!": "atom", ";": "atom"}
 
 
 class _Token:
@@ -41,134 +42,97 @@ class _Token:
         return f"_Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
 
 
+def _parse_error(text: str, msg: str, line: int, col: int) -> ParseError:
+    lines = text.splitlines()
+    return ParseError(msg, line, col, lines[line - 1].strip() if line <= len(lines) else "")
+
+
+def _scan_quoted(text: str, i: int, line: int, col: int) -> tuple[str, int]:
+    """Read the quoted atom whose opening quote is text[i]: (name, end)."""
+    buf = []
+    j = i + 1
+    while j < len(text) and text[j] != "\n":
+        ch = text[j]
+        if ch == "\\":
+            esc = _ESCAPES.get(text[j + 1 : j + 2])
+            if esc is None:
+                raise _parse_error(text, "bad escape in quoted atom", line, col)
+            buf.append(esc)
+            j += 2
+        elif ch != "'":
+            buf.append(ch)
+            j += 1
+        elif text[j + 1 : j + 2] == "'":
+            buf.append("'")
+            j += 2
+        else:
+            return "".join(buf), j + 1
+    msg = "newline in quoted atom" if j < len(text) else "unterminated quoted atom"
+    raise _parse_error(text, msg, line, col)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
     n = len(text)
+    i = line_start = 0
+    line = 1
     glued = False
-
-    def err(msg, ln, cl):
-        excerpt = text.splitlines()[ln - 1] if ln - 1 < len(text.splitlines()) else ""
-        raise ParseError(msg, ln, cl, excerpt.strip())
-
     while i < n:
         c = text[i]
         if c in " \t\r\n":
             if c == "\n":
                 line += 1
-                col = 1
-            else:
-                col += 1
+                line_start = i + 1
             i += 1
             glued = False
             continue
         if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            glued = False
-            continue
-
-        start_line, start_col = line, col
-
-        if c in "()[]|,":
-            tokens.append(_Token("punct", c, line, col, glued))
-            i += 1
-            col += 1
-            glued = True
-            continue
-
-        if c in "!;":
-            tokens.append(_Token("atom", c, line, col, glued))
-            i += 1
-            col += 1
-            glued = True
-            continue
-
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, col, glued))
-            col += j - i
+            j = text.find("\n", i)
+            if j < 0:
+                break  # the eof token takes the comment's column
             i = j
-            glued = True
             continue
-
-        if c.isalpha() or c == "_":
-            j = i
+        col = i - line_start + 1
+        if c in _SOLO_CHARS:
+            kind, value, j = _SOLO_CHARS[c], c, i + 1
+        elif c.isdecimal():
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            kind, value = "int", int(text[i:j])
+        elif c.isalpha() or c == "_":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            word = text[i:j]
-            kind = "var" if (c == "_" or c.isupper()) else "atom"
-            tokens.append(_Token(kind, word, line, col, glued))
-            col += j - i
-            i = j
-            glued = True
-            continue
-
-        if c == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    err("unterminated quoted atom", start_line, start_col)
-                ch = text[j]
-                if ch == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                if ch == "\\":
-                    if j + 1 >= n or text[j + 1] not in _ESCAPES:
-                        err("bad escape in quoted atom", line, col)
-                    buf.append(_ESCAPES[text[j + 1]])
-                    j += 2
-                    continue
-                if ch == "\n":
-                    err("newline in quoted atom", start_line, start_col)
-                buf.append(ch)
-                j += 1
-            tokens.append(_Token("atom", "".join(buf), line, col, glued))
-            col += j - i
-            i = j
-            glued = True
-            continue
-
-        if c in _SYMBOL_CHARS:
-            # A dot followed by layout, a comment or EOF ends the clause.
-            if c == ".":
-                nxt = text[i + 1] if i + 1 < n else ""
-                if nxt == "" or nxt in " \t\r\n%":
-                    tokens.append(_Token("end", ".", line, col, glued))
-                    i += 1
-                    col += 1
-                    glued = False
-                    continue
+            kind = "var" if c == "_" or c.isupper() else "atom"
+            value = text[i:j]
+        elif c == "'":
+            kind = "atom"
+            value, j = _scan_quoted(text, i, line, col)
+        elif c in SYMBOL_CHARS:
+            # A dot before layout, a comment or the end of the text ("" is in
+            # every string) ends the clause, even inside a symbol run.
             j = i
-            while j < n and text[j] in _SYMBOL_CHARS:
-                if text[j] == ".":
-                    nxt = text[j + 1] if j + 1 < n else ""
-                    if j > i and (nxt == "" or nxt in " \t\r\n%"):
-                        break
+            while j < n and text[j] in SYMBOL_CHARS and not (
+                text[j] == "." and text[j + 1 : j + 2] in " \t\r\n%"
+            ):
                 j += 1
-            tokens.append(_Token("atom", text[i:j], line, col, glued))
-            col += j - i
-            i = j
-            glued = True
-            continue
-
-        err(f"unexpected character {c!r}", line, col)
-
-    tokens.append(_Token("eof", None, line, col, False))
+            if j == i:
+                kind, value, j = "end", ".", i + 1
+            else:
+                kind, value = "atom", text[i:j]
+        else:
+            raise _parse_error(text, f"unexpected character {c!r}", line, col)
+        tokens.append(_Token(kind, value, line, col, glued))
+        glued = kind != "end"
+        i = j
+    tokens.append(_Token("eof", None, line, i - line_start + 1, False))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.lines = text.splitlines()
         self.tokens = _tokenize(text)
         self.pos = 0
         self.varmap: dict[str, Var] = {}
@@ -182,8 +146,7 @@ class _Parser:
         return t
 
     def fail(self, msg: str, tok: _Token):
-        excerpt = self.lines[tok.line - 1].strip() if tok.line - 1 < len(self.lines) else ""
-        raise ParseError(msg, tok.line, tok.col, excerpt)
+        raise _parse_error(self.text, msg, tok.line, tok.col)
 
     def expect_punct(self, which: str):
         t = self.next()

@@ -127,6 +127,9 @@ PREFIX_OPS: dict[str, tuple[int, str]] = {
     "-": (200, "fy"),
 }
 
+# Characters that run together into one symbol atom, such as =.. or \==.
+SYMBOL_CHARS = "+-*/\\^<>=~:.?@#$&"
+
 
 def functor_key(t: Term) -> tuple[str, int] | None:
     """(name, arity) for callable terms, None for ints and variables."""
@@ -173,29 +176,22 @@ def collect_vars(t: Term, acc: list[Var] | None = None) -> list[Var]:
 
 
 _PLAIN_ATOM_FIRST = "abcdefghijklmnopqrstuvwxyz"
-_SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#$&")
-_SOLO_ATOMS = {"[]", "!", ";", "{}"}
-
-
-def _atom_needs_quotes(name: str) -> bool:
-    if name in _SOLO_ATOMS:
-        return False
-    if not name:
-        return True
-    if name[0] in _PLAIN_ATOM_FIRST:
-        return not all(c.isalnum() or c == "_" for c in name)
-    if all(c in _SYMBOL_CHARS for c in name):
-        return False
-    return True
-
-
-def _quote_atom(name: str) -> str:
-    body = name.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\n").replace("\t", "\\t")
-    return f"'{body}'"
+_SOLO_ATOMS = {"[]", "!", ";"}
 
 
 def _atom_str(name: str) -> str:
-    return _quote_atom(name) if _atom_needs_quotes(name) else name
+    """An atom, bare where the reader reads it back as itself, else quoted."""
+    if not name:
+        bare = False
+    elif name[0] in _PLAIN_ATOM_FIRST:
+        bare = all(c.isalnum() or c == "_" for c in name)
+    else:
+        # A symbol atom that ends in a dot would read back as a clause end.
+        bare = name in _SOLO_ATOMS or name[-1] != "." and all(c in SYMBOL_CHARS for c in name)
+    if bare:
+        return name
+    body = name.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\n").replace("\t", "\\t")
+    return f"'{body}'"
 
 
 def _commas(terms) -> list:
@@ -246,7 +242,8 @@ def term_str(t: Term, max_prio: int = 1200) -> str:
             rp = prio if typ == "xfy" else prio - 1
             op = "," if t.name == "," else f" {t.name} "
             pieces = [(t.args[0], lp), op, (t.args[1], rp)]
-        elif len(t.args) == 1 and t.name in PREFIX_OPS:
+        elif len(t.args) == 1 and t.name in PREFIX_OPS and (t.name, type(t.args[0])) != ("-", Int):
+            # -(1) is written canonically below: "- 1" would read back as the integer -1.
             prio, typ = PREFIX_OPS[t.name]
             pieces = [f"{t.name} ", (t.args[0], prio if typ == "fy" else prio - 1)]
         else:

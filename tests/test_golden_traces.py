@@ -4,6 +4,8 @@ A trace holds every world event and each round's state digest, so any
 change of behaviour changes its hash.  A change that means to alter
 behaviour updates these hashes and says why; any other change keeps them.
 A mixed match must also write the same trace under any hash seed.
+The parse of every bundled program is pinned the same way, so a clause
+that no pairing reaches is still covered.
 """
 
 import hashlib
@@ -14,7 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from rulebots.agents.minds import RUNTIME_PRELUDE
+from rulebots.logic import read_program, term_str
 from rulebots.match import cli
+from rulebots.rules import load_package
 
 FULL_STACK = "scripted:baseline,cs_rules,warehouse_tactics"
 
@@ -26,6 +31,10 @@ GOLDEN = {
     ("airplane", "scripted:baseline"): "5ee39ca1412e4f281bec002a2c7f31abeb611070d3b0826c9582788df8d3666b",
     ("airplane", FULL_STACK): "2edbb598019a474eb80969ec891153f1388b9db486ac6e426de11bd25996c3ad",
 }
+
+# sha256 of "head :- body" per clause, over the prelude and the bundled packages.
+GOLDEN_PARSE = "6fcf8ca058431e57eca9d057ab24c7c81feac358cbf1adb3cf03d37a9e1ead7b"
+BUNDLED_PACKAGES = ("baseline", "cs_rules", "warehouse_tactics")
 
 
 @pytest.mark.parametrize(("map_name", "controller"), sorted(GOLDEN))
@@ -51,3 +60,11 @@ def test_trace_does_not_depend_on_hash_seed(tmp_path):
         )
         traces.append((out / "match0.trace").read_bytes())
     assert traces[0] == traces[1]
+
+
+def test_bundled_programs_parse_to_pinned_clauses():
+    texts = [RUNTIME_PRELUDE, *(load_package(name).text for name in BUNDLED_PACKAGES)]
+    clauses = [clause for text in texts for clause in read_program(text)]
+    lines = "".join(f"{term_str(head)} :- {term_str(body)}\n" for head, body in clauses)
+    assert len(clauses) == 63
+    assert hashlib.sha256(lines.encode()).hexdigest() == GOLDEN_PARSE

@@ -46,6 +46,11 @@ def test_negative_integers():
 def test_quoted_atoms():
     assert parse("'hello world'") == Atom("hello world")
     assert parse("'it''s'") == Atom("it's")
+    assert parse("'a''b'") == Atom("a'b")
+
+
+def test_symbol_atom_before_a_dot_inside_arguments():
+    assert parse("f(=.)") == Struct("f", (Atom("=."),))
 
 
 def test_comments_are_skipped():
@@ -99,7 +104,7 @@ def test_clause_splitting():
 
 
 def test_round_trip_through_writer():
-    for text in ["f(a,b)", "[1,2,3]", "a :- b,c", "X is 1 + 2", "\\+ g(X)"]:
+    for text in ["f(a,b)", "[1,2,3]", "a :- b,c", "X is 1 + 2", "\\+ g(X)", "'{}'", "'.'", "'=.'", "-(1)"]:
         term, _ = read_term(text)
         again, _ = read_term(term_str(term))
         # compare with variables normalized away by rendering both
@@ -116,6 +121,7 @@ def test_round_trip_through_writer():
         "1 2",
         "'unterminated",
         "",
+        "f(²)",
     ],
 )
 def test_parse_errors(bad):
@@ -126,3 +132,22 @@ def test_parse_errors(bad):
 def test_program_requires_terminating_dot():
     with pytest.raises(ParseError):
         read_program("a :- b")
+
+
+@pytest.mark.parametrize(
+    ("text", "message", "line", "col", "read"),
+    [
+        ("'abc", "unterminated quoted atom", 1, 1, read_program),
+        ("'a\\qb'", "bad escape in quoted atom", 1, 1, read_program),
+        ("'a\nb'", "newline in quoted atom", 1, 1, read_program),
+        ("x.\r\n y ` z", "unexpected character '`'", 2, 4, read_program),
+        ("a :- b % no dot", "expected '.' at end of clause", 1, 8, read_program),
+        ("a :- b.\n  c :- #d.", "expected '.' at end of clause", 2, 9, read_program),
+        ("foo (a)", "unexpected trailing input", 1, 5, read_term),
+    ],
+)
+def test_parse_error_positions(text, message, line, col, read):
+    with pytest.raises(ParseError) as info:
+        read(text)
+    assert str(info.value).split(" at line")[0] == message
+    assert (info.value.line, info.value.col) == (line, col)

@@ -39,10 +39,12 @@ def test_tick_and_state_commands():
 
 
 def test_bad_input_reports_errors():
-    text = run_session(["pred(", ":frobnicate", ":tick zap", ":quit"])
+    text = run_session(["pred(", ":frobnicate", ":tick zap", "f(²).", "game_phase(buy).", ":quit"])
     assert "error:" in text
     assert "unknown command" in text
     assert "bad tick count" in text
+    assert "unexpected character" in text
+    assert "true." in text.split("unexpected character")[1]
 
 
 def test_queries_see_scripted_rules():
