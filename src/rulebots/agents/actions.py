@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 from rulebots.logic import (
     Atom,
@@ -294,26 +295,36 @@ def _idle(executor, bot):
     return [None] if executor.active is None else None
 
 
-# Every action native: (name, arity) -> (handler, nondet).  A handler takes
-# the bot's executor before its rule arguments; the longer arity of a
-# launcher adds the options term.
+class Native(NamedTuple):
+    """A native's declaration.  `nondet` lets it answer more than once.  A
+    writer changes the game (it launches an action or writes the team
+    blackboard); a reader only looks, so asking it again is harmless."""
+
+    handler: object
+    nondet: bool = False
+    writes: bool = False
+
+
+# Every action native: (name, arity) -> Native.  A handler takes the bot's
+# executor before its rule arguments; the longer arity of a launcher adds
+# the options term.  Every launcher is a writer.
 ACTION_NATIVES = {
-    ("action_goto", 2): (_goto, False),
-    ("action_goto", 3): (_goto, False),
-    ("action_kill", 2): (_kill, False),
-    ("action_kill", 3): (_kill, False),
-    ("action_liberate_hostages", 1): (_liberate, False),
-    ("action_liberate_hostages", 2): (_liberate, False),
-    ("action_guard", 2): (_guard, False),
-    ("action_guard", 3): (_guard, False),
-    ("action_buy", 2): (_buy, False),
-    ("action_wait", 2): (_wait, False),
-    ("idle", 1): (_idle, False),
+    ("action_goto", 2): Native(_goto, writes=True),
+    ("action_goto", 3): Native(_goto, writes=True),
+    ("action_kill", 2): Native(_kill, writes=True),
+    ("action_kill", 3): Native(_kill, writes=True),
+    ("action_liberate_hostages", 1): Native(_liberate, writes=True),
+    ("action_liberate_hostages", 2): Native(_liberate, writes=True),
+    ("action_guard", 2): Native(_guard, writes=True),
+    ("action_guard", 3): Native(_guard, writes=True),
+    ("action_buy", 2): Native(_buy, writes=True),
+    ("action_wait", 2): Native(_wait, writes=True),
+    ("idle", 1): Native(_idle),
 }
 
 ACTION_NATIVE_SIGNATURES = tuple(ACTION_NATIVES)
 
 
 def register_action_natives(kb, executor: ActionExecutor) -> None:
-    for (name, arity), (handler, nondet) in ACTION_NATIVES.items():
-        kb.register_native(name, arity, partial(handler, executor), nondet)
+    for (name, arity), native in ACTION_NATIVES.items():
+        kb.register_native(name, arity, partial(native.handler, executor), native.nondet)

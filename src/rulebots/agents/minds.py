@@ -13,9 +13,9 @@ import weakref
 
 from rulebots.logic import Atom, Engine, Int, KnowledgeBase, Struct, Term
 from rulebots.sim import CT, IdleIntent, RIFLE, WorldState
-from rulebots.agents.actions import Action, ActionExecutor, register_action_natives
+from rulebots.agents.actions import ACTION_NATIVES, Action, ActionExecutor, register_action_natives
 from rulebots.agents.blackboard import TeamBlackboard
-from rulebots.agents.perception import register_perception
+from rulebots.agents.perception import PERCEPTION_NATIVES, register_perception
 
 REASON_PERIOD = 5  # ticks between re-reasoning while an action runs
 
@@ -34,6 +34,68 @@ ROUND_SCOPED_DYNAMICS = (
 )
 
 
+# The calls that make a proof an effect, besides an assert or a retract:
+# every writer native, and output.
+EFFECTS = frozenset(
+    [key for table in (PERCEPTION_NATIVES, ACTION_NATIVES) for key, n in table.items() if n.writes]
+    + [("write", 1), ("nl", 0)]
+)
+
+
+class GoalProver:
+    """Proves a mind's goals, reusing the last proof of a goal it repeats.
+
+    A proof is a function of the live store and of the answers its native
+    calls get, under the engine's fixed budgets.  So when a goal, the same
+    object, is proved again, the last result stands if that proof had no
+    effect (no assert or retract, no writer native, no output, no error),
+    the store's generation is unchanged, and every native call it made,
+    asked again in order, gives an equal answer list.  The check stops at
+    the first difference and the goal is proved in full.  Only the last
+    effect-free proof is kept, as native keys, arguments and answers.
+    """
+
+    __slots__ = ("engine", "goal", "generation", "calls", "result", "runs", "reuses")
+
+    def __init__(self, engine: Engine):
+        self.engine = engine
+        self.goal: Term | None = None  # the kept proof's goal, or None
+        self.generation = 0
+        self.calls: list = []
+        self.result = False
+        self.runs = 0
+        self.reuses = 0
+
+    def __call__(self, goal: Term) -> bool:
+        if goal is self.goal and self.unchanged():
+            self.reuses += 1
+            return self.result
+        self.goal = None
+        self.runs += 1
+        engine = self.engine
+        generation = engine.kb.generation
+        engine.log = calls = []
+        try:
+            result = engine.prove(goal)
+        finally:
+            engine.log = None
+        if engine.kb.generation == generation and not any(c[0] in EFFECTS for c in calls):
+            self.goal, self.generation, self.calls, self.result = goal, generation, calls, result
+        return result
+
+    def unchanged(self) -> bool:
+        """The store is at the kept proof's generation, and each of its
+        native calls, asked again in order, answers as it did."""
+        kb = self.engine.kb
+        if kb.generation != self.generation:
+            return False
+        native = kb.native
+        for key, args, answers in self.calls:
+            if native(key).handler(*args) != answers:
+                return False
+        return True
+
+
 class Mind:
     kind = "abstract"
 
@@ -48,11 +110,11 @@ class Mind:
             kb.declare_dynamic(name, arity)
         self.engine = Engine(kb, output=lambda s: None)
         self.engine.consult(RUNTIME_PRELUDE)
-        # The executor reaches the engine weakly: the engine's action natives
+        # The provers reach the engine weakly: the engine's action natives
         # already hold the executor, and a strong edge back would make each
         # mind a reference cycle, left for the cyclic collector to free.
-        engine = weakref.proxy(self.engine)
-        self.executor.prove = lambda goal: engine.prove(goal)
+        self.executor.prove = GoalProver(weakref.proxy(self.engine))
+        self.provers = [self.executor.prove]
         self.last_reason_tick = -REASON_PERIOD
 
     def on_round_start(self) -> None:
@@ -63,6 +125,10 @@ class Mind:
 
     def decide(self) -> None:
         raise NotImplementedError
+
+    def proof_counts(self) -> tuple[int, int]:
+        """Proofs run in full and proofs reused, over this mind's provers."""
+        return sum(p.runs for p in self.provers), sum(p.reuses for p in self.provers)
 
     def reason_due(self) -> bool:
         if self.executor.active is None:
@@ -92,9 +158,11 @@ class ScriptedMind(Mind):
         for pkg in stack:
             self.engine.consult(pkg.text)
         self._entry_goal = Struct("do_reasoning", (Int(bot_id),))
+        self._prove_entry = GoalProver(weakref.proxy(self.engine))
+        self.provers.append(self._prove_entry)
 
     def decide(self) -> None:
-        self.engine.prove(self._entry_goal)
+        self._prove_entry(self._entry_goal)
 
 
 class NativeMind(Mind):

@@ -24,6 +24,7 @@ from rulebots.logic import (
     collect_vars,
     term_str,
 )
+from rulebots.agents.actions import Native
 from rulebots.sim import WorldState
 
 # Argument kinds: (term class, what a bound argument must be).
@@ -44,19 +45,28 @@ def _bound(term: Term, kind: tuple):
 
 def select(rows_of, kinds, world, board, a, b=None):
     """The rows of a view that agree with every bound argument, as terms.
-    A view has one or two arguments; `b` is None for a view of one."""
-    va = _bound(a, kinds[0])
-    vb = None if b is None else _bound(b, kinds[1])
-    rows = rows_of(world)
-    if va is not None:
-        rows = [row for row in rows if row[0] == va]
-    if vb is not None:
-        rows = [row for row in rows if row[1] == vb]
+    A view has one or two arguments; `b` is None for a view of one.  A
+    bound argument answers as the call's own term, and a call bound in
+    full answers once per equal row."""
+    va = None if type(a) is Var else _bound(a, kinds[0])
     if b is None:
+        rows = rows_of(world)
+        if va is not None:
+            return [(a,)] * rows.count((va,))
         wrap = kinds[0][0]
+        if len(rows) == 1:  # a one-row view, such as game_phase/1
+            return [(wrap(rows[0][0]),)]
         return [(wrap(x),) for (x,) in rows]
+    vb = None if type(b) is Var else _bound(b, kinds[1])
+    rows = rows_of(world)
     (wrap_a, _), (wrap_b, _) = kinds
-    return [(wrap_a(x), wrap_b(y)) for x, y in rows]
+    if va is None:
+        if vb is None:
+            return [(wrap_a(x), wrap_b(y)) for x, y in rows]
+        return [(wrap_a(x), b) for x, y in rows if y == vb]
+    if vb is None:
+        return [(a, wrap_b(y)) for x, y in rows if x == va]
+    return [(a, b)] * rows.count((va, vb))
 
 
 def _view(rows_of, *kinds):
@@ -113,38 +123,41 @@ def team_fact(world, board, pattern):
     return [(f,) for f in board.snapshot()]
 
 
-# Every perception native: (name, arity) -> (handler, nondet).  A handler
-# takes the world and the team blackboard before its rule arguments.
+# Every perception native: (name, arity) -> Native.  A handler takes the
+# world and the team blackboard before its rule arguments.  The two that
+# change the blackboard are writers; every other native only reads.
 PERCEPTION_NATIVES = {
-    ("bot_in_fov", 2): (_view(lambda w: w.fov_pairs(), BOT, BOT), True),
-    ("visible_enemy", 2): (_view(lambda w: w.enemy_pairs(), BOT, BOT), True),
-    ("bot_alive", 1): (_view(lambda w: [(b.id,) for b in w.bots.values() if b.alive], BOT), True),
-    ("team", 2): (_bot_field("team", (Atom, "atom team name")), True),
-    ("health", 2): (_bot_field("health", (Int, "integer health")), True),
-    ("ammo", 2): (_bot_field("ammo", (Int, "integer ammo")), True),
-    ("money", 2): (_bot_field("money", (Int, "integer money")), True),
-    ("at_waypoint", 2): (_view(_waypoints, BOT, WAYPOINT), True),
-    ("hostage_at", 2): (
+    ("bot_in_fov", 2): Native(_view(lambda w: w.fov_pairs(), BOT, BOT), nondet=True),
+    ("visible_enemy", 2): Native(_view(lambda w: w.enemy_pairs(), BOT, BOT), nondet=True),
+    ("bot_alive", 1): Native(
+        _view(lambda w: [(b.id,) for b in w.bots.values() if b.alive], BOT), nondet=True
+    ),
+    ("team", 2): Native(_bot_field("team", (Atom, "atom team name")), nondet=True),
+    ("health", 2): Native(_bot_field("health", (Int, "integer health")), nondet=True),
+    ("ammo", 2): Native(_bot_field("ammo", (Int, "integer ammo")), nondet=True),
+    ("money", 2): Native(_bot_field("money", (Int, "integer money")), nondet=True),
+    ("at_waypoint", 2): Native(_view(_waypoints, BOT, WAYPOINT), nondet=True),
+    ("hostage_at", 2): Native(
         _view(lambda w: [(h.id, h.node) for h in w.free_hostages()], HOSTAGE, WAYPOINT),
-        True,
+        nondet=True,
     ),
-    ("hostage_following", 2): (
+    ("hostage_following", 2): Native(
         _view(lambda w: [(h.id, h.following) for h in w.led_hostages()], HOSTAGE, BOT),
-        True,
+        nondet=True,
     ),
-    ("hear_footsteps", 2): (_view(_footsteps, BOT, BOT), True),
-    ("round_time_left", 1): (_view(lambda w: [(w.clock // 4,)], (Int, "integer seconds")), False),
-    ("game_phase", 1): (_view(lambda w: [(w.phase,)], (Atom, "atom phase")), False),
-    ("waypoint_tag", 2): (_view(_tags, WAYPOINT, (Atom, "atom tag")), True),
-    ("path_cost", 3): (path_cost, False),
-    ("team_assert", 1): (team_assert, False),
-    ("team_retract", 1): (team_retract, False),
-    ("team_fact", 1): (team_fact, True),
+    ("hear_footsteps", 2): Native(_view(_footsteps, BOT, BOT), nondet=True),
+    ("round_time_left", 1): Native(_view(lambda w: [(w.clock // 4,)], (Int, "integer seconds"))),
+    ("game_phase", 1): Native(_view(lambda w: [(w.phase,)], (Atom, "atom phase"))),
+    ("waypoint_tag", 2): Native(_view(_tags, WAYPOINT, (Atom, "atom tag")), nondet=True),
+    ("path_cost", 3): Native(path_cost),
+    ("team_assert", 1): Native(team_assert, writes=True),
+    ("team_retract", 1): Native(team_retract, writes=True),
+    ("team_fact", 1): Native(team_fact, nondet=True),
 }
 
 PERCEPTION_NATIVE_SIGNATURES = tuple(PERCEPTION_NATIVES)
 
 
 def register_perception(kb, world: WorldState, board) -> None:
-    for (name, arity), (handler, nondet) in PERCEPTION_NATIVES.items():
-        kb.register_native(name, arity, partial(handler, world, board), nondet)
+    for (name, arity), native in PERCEPTION_NATIVES.items():
+        kb.register_native(name, arity, partial(native.handler, world, board), native.nondet)

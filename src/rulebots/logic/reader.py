@@ -11,6 +11,7 @@ from rulebots.logic.errors import ParseError
 from rulebots.logic.terms import (
     INFIX_OPS,
     INT_MAX,
+    INT_MIN,
     NIL,
     PREFIX_OPS,
     SYMBOL_CHARS,
@@ -25,6 +26,7 @@ from rulebots.logic.terms import (
 )
 
 _ESCAPES = {"\\": "\\", "'": "'", "n": "\n", "t": "\t"}
+_INT_DIGITS = len(str(INT_MAX))
 _SOLO_CHARS = {**dict.fromkeys("()[]|,", "punct"), "!": "atom", ";": "atom"}
 
 
@@ -71,6 +73,18 @@ def _scan_quoted(text: str, i: int, line: int, col: int) -> tuple[str, int]:
     raise _parse_error(text, msg, line, col)
 
 
+def _int_literal(digits: str) -> int:
+    """A digit run's value.  A run with more significant digits than
+    INT_MAX reads as INT_MAX + 2, which the parser refuses as out of range
+    with or without a minus sign; `int` itself refuses a run of more than
+    4,300 digits."""
+    if len(digits) > _INT_DIGITS:
+        digits = digits[next((k for k, d in enumerate(digits) if int(d)), len(digits)):]
+        if len(digits) > _INT_DIGITS:
+            return INT_MAX + 2
+    return int(digits)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     n = len(text)
@@ -99,7 +113,7 @@ def _tokenize(text: str) -> list[_Token]:
             j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            kind, value = "int", int(text[i:j])
+            kind, value = "int", _int_literal(text[i:j])
         elif c.isalpha() or c == "_":
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
@@ -229,6 +243,8 @@ class _Parser:
                 if prio <= max_prio:
                     if name == "-" and nxt.kind == "int":
                         self.next()
+                        if -nxt.value < INT_MIN:
+                            self.fail("integer literal out of 64-bit range", nxt)
                         return Int(-nxt.value), 0
                     arg_allow = prio if typ == "fy" else prio - 1
                     arg = self.parse(arg_allow)

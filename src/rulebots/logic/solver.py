@@ -97,9 +97,9 @@ def _apply(key: tuple[str, int], operands) -> int:
 
 
 class _Machine:
-    __slots__ = ("kb", "bind", "trail", "cps", "snap", "steps", "max_steps", "max_depth", "out")
+    __slots__ = ("kb", "bind", "trail", "cps", "snap", "steps", "max_steps", "max_depth", "out", "log")
 
-    def __init__(self, kb: KnowledgeBase, max_steps: int, max_depth: int, out):
+    def __init__(self, kb: KnowledgeBase, max_steps: int, max_depth: int, out, log=None):
         self.kb = kb
         self.bind: dict[int, Term] = {}
         self.trail: list[int] = []
@@ -109,6 +109,7 @@ class _Machine:
         self.max_steps = max_steps
         self.max_depth = max_depth
         self.out = out
+        self.log = log
 
     # -- bindings ----------------------------------------------------------
 
@@ -327,7 +328,7 @@ class _Machine:
         """Run `node` and its continuation to the next solution.  True at a
         solution, its bindings in place and its choicepoints left on `cps`
         for a later run from a `_REFUTE` marker; False once none is left."""
-        trail, cps, snap = self.trail, self.cps, self.snap
+        trail, cps, snap, log = self.trail, self.cps, self.snap, self.log
         deref, build, count, take_answer = self.deref, self.build, self.count_step, self.take_answer
         native_of, lookup = self.kb.native, self.kb.lookup
         clauses = None
@@ -362,7 +363,10 @@ class _Machine:
                             raise ExistenceError(*key)
                         clauses, j, mark, depth = pred.clauses, 0, len(trail), depth + 1
                     else:
-                        answers = native.handler(*[self.resolve(a) for a in args])
+                        called = tuple([self.resolve(a) for a in args])
+                        answers = native.handler(*called)
+                        if log is not None:
+                            log.append((key, called, answers))
                         if not answers:  # a handler gives None or a list of answers
                             pass
                         elif native.nondet and len(answers) > 1:
@@ -530,13 +534,10 @@ def _bi_retract(m: _Machine, args) -> bool:
     return False
 
 
-def _bi_write(m: _Machine, args) -> bool:
-    m.out(term_str(m.resolve(args[0])))
-    return True
-
-
-def _bi_nl(m: _Machine, args) -> bool:
-    m.out("\n")
+def _write(m: _Machine, key: tuple[str, int], text: str) -> bool:
+    if m.log is not None:  # output is an effect: a logged proof that writes is never reused
+        m.log.append((key, (), None))
+    m.out(text)
     return True
 
 
@@ -573,8 +574,8 @@ BUILTINS.update(
         ("nonvar", 1): lambda m, args: type(m.deref(args[0])) is not Var,
         ("atom", 1): lambda m, args: type(m.deref(args[0])) is Atom,
         ("number", 1): lambda m, args: type(m.deref(args[0])) is Int,
-        ("write", 1): _bi_write,
-        ("nl", 0): _bi_nl,
+        ("write", 1): lambda m, args: _write(m, ("write", 1), term_str(m.resolve(args[0]))),
+        ("nl", 0): lambda m, args: _write(m, ("nl", 0), "\n"),
     }
 )
 
@@ -630,7 +631,12 @@ class SolutionStream:
 
 
 class Engine:
-    """A knowledge base plus resolution configuration."""
+    """A knowledge base plus resolution configuration.
+
+    While `log` is a list, each machine started appends to it every native
+    call it makes, as `(key, resolved arguments, answer list)`, and every
+    `write/1` or `nl/0`, as `(key, (), None)`.
+    """
 
     def __init__(
         self,
@@ -643,9 +649,10 @@ class Engine:
         self.max_steps = max_steps
         self.max_depth = max_depth
         self.output = output if output is not None else lambda s: sys.stdout.write(s)
+        self.log: list | None = None
 
     def _machine(self) -> _Machine:
-        return _Machine(self.kb, self.max_steps, self.max_depth, self.output)
+        return _Machine(self.kb, self.max_steps, self.max_depth, self.output, self.log)
 
     def consult(self, text: str):
         return self.kb.consult(text)

@@ -194,6 +194,15 @@ def _atom_str(name: str) -> str:
     return f"'{body}'"
 
 
+def _operand(t: Term, prio: int):
+    """A writer piece for an operator's operand.  An operator atom goes in
+    brackets, or the reader would take it for an operator: `- = 1` does
+    not read back, `(-) = 1` does."""
+    if type(t) is Atom and (t.name in INFIX_OPS or t.name in PREFIX_OPS):
+        return f"({_atom_str(t.name)})"
+    return (t, prio)
+
+
 def _commas(terms) -> list:
     """Writer pieces for comma-separated arguments or list elements."""
     pieces: list = []
@@ -241,11 +250,11 @@ def term_str(t: Term, max_prio: int = 1200) -> str:
             lp = prio if typ == "yfx" else prio - 1
             rp = prio if typ == "xfy" else prio - 1
             op = "," if t.name == "," else f" {t.name} "
-            pieces = [(t.args[0], lp), op, (t.args[1], rp)]
+            pieces = [_operand(t.args[0], lp), op, _operand(t.args[1], rp)]
         elif len(t.args) == 1 and t.name in PREFIX_OPS and (t.name, type(t.args[0])) != ("-", Int):
             # -(1) is written canonically below: "- 1" would read back as the integer -1.
             prio, typ = PREFIX_OPS[t.name]
-            pieces = [f"{t.name} ", (t.args[0], prio if typ == "fy" else prio - 1)]
+            pieces = [f"{t.name} ", _operand(t.args[0], prio if typ == "fy" else prio - 1)]
         else:
             pieces = [f"{_atom_str(t.name)}(", *_commas(t.args), ")"]
         if prio > max_prio:

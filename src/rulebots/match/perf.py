@@ -17,12 +17,15 @@ class PerfReport:
 
     Reasoning time is wall time spent inside scripted minds; native minds
     and the world step count as simulation, so an all-native run reports a
-    reasoning share of exactly zero.
+    reasoning share of exactly zero.  The proof counts are exact: the
+    proofs the match's minds ran in full, and those they reused.
     """
 
     reasoning_ms: tuple[float, ...]
     simulation_ms: tuple[float, ...]
     native_total_ms: float
+    proofs_run: int = 0
+    proofs_reused: int = 0
 
     @property
     def total_ms(self) -> float:
@@ -56,12 +59,14 @@ class _TickTimer:
     def __init__(self):
         self.reasoning: list[float] = []
         self.simulation: list[float] = []
+        self.minds: dict = {}
 
     def tick_started(self) -> None:
         self._reason = 0.0
         self._start = time.perf_counter()
 
     def tick_agent(self, mind):
+        self.minds[mind.bot_id] = mind
         if mind.kind != "scripted":
             return mind.tick_agent()
         t0 = time.perf_counter()
@@ -83,7 +88,10 @@ def timed_match(config: MatchConfig) -> tuple[PerfReport, MatchResult]:
     t0 = time.perf_counter()
     run_match(replace(config, ct=native, t=native))
     native_total_ms = (time.perf_counter() - t0) * 1000.0
-    return PerfReport(tuple(timer.reasoning), tuple(timer.simulation), native_total_ms), result
+    counts = [mind.proof_counts() for mind in timer.minds.values()]
+    report = PerfReport(tuple(timer.reasoning), tuple(timer.simulation), native_total_ms,
+                        sum(run for run, _ in counts), sum(reused for _, reused in counts))
+    return report, result
 
 
 def measure_performance(config: MatchConfig) -> PerfReport:
@@ -100,5 +108,6 @@ def summary_text(report: PerfReport) -> str:
             f"total wall time: {report.total_ms:.1f} ms "
             f"(all-native reference {report.native_total_ms:.1f} ms, "
             f"delta {report.native_delta:+.3f})",
+            f"proofs: {report.proofs_run} run, {report.proofs_reused} reused",
         ]
     )

@@ -86,7 +86,9 @@ def test_a_proof_enters_the_machine_once(monkeypatch):
     side = ControllerSpec("native")
     sys.setprofile(profile)
     try:
-        run_match(MatchConfig(map_name="airplane", seed=1, rounds=6, ct=side, t=side))
+        # a mind reuses most repeated proofs, so a long match is needed to
+        # watch over 3000 of them enter the machine
+        run_match(MatchConfig(map_name="airplane", seed=1, rounds=30, ct=side, t=side))
     finally:
         sys.setprofile(None)
     assert entries["prove"] > 3000

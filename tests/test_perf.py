@@ -41,6 +41,13 @@ def test_aggregates_from_known_samples():
     assert report.native_delta == 1.0
 
 
+def test_a_native_match_reuses_proofs():
+    # a native mind's motivation proofs go through its prover too
+    report = measure_performance(config_for("native", rounds=2))
+    assert report.proofs_run > 0
+    assert report.proofs_reused > 0
+
+
 def test_summary_text_lines():
     report = measure_performance(config_for("scripted"))
     lines = summary_text(report).splitlines()
@@ -48,6 +55,7 @@ def test_summary_text_lines():
     assert "reasoning per tick: median" in lines[1]
     assert "reasoning share of wall time:" in lines[2]
     assert "all-native reference" in lines[3]
+    assert lines[4] == f"proofs: {report.proofs_run} run, {report.proofs_reused} reused"
 
 
 RUN_ONE_ROUND = ["run", "--map", "warehouse", "--seed", "1", "--rounds", "1",

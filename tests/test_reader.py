@@ -1,6 +1,7 @@
 """Edinburgh-syntax reader: tokens, operators, clauses."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rulebots.logic import (
     Atom,
@@ -12,6 +13,7 @@ from rulebots.logic import (
     read_term,
     term_str,
 )
+from rulebots.logic.terms import INFIX_OPS, INT_MAX, INT_MIN, PREFIX_OPS
 
 
 def parse(text):
@@ -111,6 +113,37 @@ def test_round_trip_through_writer():
         assert term_str(again) == term_str(term)
 
 
+OPERATOR_ATOMS = sorted({*INFIX_OPS, *PREFIX_OPS})
+AWKWARD_ATOMS = ["a", "[]", "!", ";", "{}", ".", "'", "Abc", "", "=.", "a b", "\\"]
+
+
+def _compounds(children):
+    return st.one_of(
+        st.builds(lambda op, l, r: Struct(op, (l, r)), st.sampled_from(sorted(INFIX_OPS)), children, children),
+        st.builds(lambda op, x: Struct(op, (x,)), st.sampled_from(sorted(PREFIX_OPS)), children),
+        st.builds(lambda name, args: Struct(name, tuple(args)),
+                  st.sampled_from(["f", "-", "."]), st.lists(children, min_size=1, max_size=3)),
+        st.lists(children, max_size=3).map(make_list),
+    )
+
+
+GROUND_TERMS = st.recursive(
+    st.one_of(
+        st.sampled_from(OPERATOR_ATOMS + AWKWARD_ATOMS).map(Atom),
+        st.sampled_from([0, 1, -1, INT_MAX, INT_MIN]).map(Int),
+    ),
+    _compounds,
+    max_leaves=8,
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(GROUND_TERMS)
+def test_written_terms_read_back(term):
+    # operator atoms as operands, such as =(-, 1), must come back as written
+    assert read_term(term_str(term))[0] == term
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -122,11 +155,26 @@ def test_round_trip_through_writer():
         "'unterminated",
         "",
         "f(²)",
+        pytest.param("f(" + "1" * 5000 + ")", id="f(5000 ones)"),
+        pytest.param("9" * 4301, id="4301 nines"),
+        "9223372036854775808",
+        "-9223372036854775809",
+        pytest.param("-" + "1" * 5000, id="-5000 ones"),
     ],
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         read_term(bad)
+
+
+def test_leading_zeros_keep_a_long_digit_run_in_range():
+    # a long run is out of range only by its significant digits
+    assert read_term("007")[0] == Int(7)
+    assert read_term("0" * 5000 + "42")[0] == Int(42)
+    assert read_term("0" * 30 + str(INT_MAX))[0] == Int(INT_MAX)
+    assert read_term("-" + "0" * 30 + str(-INT_MIN))[0] == Int(INT_MIN)
+    with pytest.raises(ParseError, match="out of 64-bit range"):
+        read_program("p(" + "0" * 30 + str(INT_MAX + 1) + ").")
 
 
 def test_program_requires_terminating_dot():
@@ -144,6 +192,10 @@ def test_program_requires_terminating_dot():
         ("a :- b % no dot", "expected '.' at end of clause", 1, 8, read_program),
         ("a :- b.\n  c :- #d.", "expected '.' at end of clause", 2, 9, read_program),
         ("foo (a)", "unexpected trailing input", 1, 5, read_term),
+        pytest.param("f(\n  " + "1" * 5000 + ")", "integer literal out of 64-bit range", 2, 3,
+                     read_term, id="5000-digit literal"),
+        pytest.param("p(" + "0" * 5000 + "1.", "expected ',' or ')' in argument list", 1, 5004,
+                     read_program, id="5000 leading zeros"),
     ],
 )
 def test_parse_error_positions(text, message, line, col, read):

@@ -39,12 +39,14 @@ def test_tick_and_state_commands():
 
 
 def test_bad_input_reports_errors():
-    text = run_session(["pred(", ":frobnicate", ":tick zap", "f(²).", "game_phase(buy).", ":quit"])
+    long_run = "f(" + "1" * 5000 + ")."
+    text = run_session(["pred(", ":frobnicate", ":tick zap", "f(²).", long_run, "game_phase(buy).", ":quit"])
     assert "error:" in text
     assert "unknown command" in text
     assert "bad tick count" in text
     assert "unexpected character" in text
-    assert "true." in text.split("unexpected character")[1]
+    assert "integer literal out of 64-bit range" in text
+    assert "true." in text.split("integer literal out of 64-bit range")[1]
 
 
 def test_queries_see_scripted_rules():
