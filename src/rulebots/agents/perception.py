@@ -48,16 +48,14 @@ def select(rows_of, kinds, world, board, a, b=None):
     A view has one or two arguments; `b` is None for a view of one.  A
     bound argument answers as the call's own term, and a call bound in
     full answers once per equal row."""
-    va = None if type(a) is Var else _bound(a, kinds[0])
+    va = _bound(a, kinds[0])
     if b is None:
         rows = rows_of(world)
         if va is not None:
             return [(a,)] * rows.count((va,))
         wrap = kinds[0][0]
-        if len(rows) == 1:  # a one-row view, such as game_phase/1
-            return [(wrap(rows[0][0]),)]
         return [(wrap(x),) for (x,) in rows]
-    vb = None if type(b) is Var else _bound(b, kinds[1])
+    vb = _bound(b, kinds[1])
     rows = rows_of(world)
     (wrap_a, _), (wrap_b, _) = kinds
     if va is None:

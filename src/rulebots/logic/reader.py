@@ -79,7 +79,8 @@ def _int_literal(digits: str) -> int:
     with or without a minus sign; `int` itself refuses a run of more than
     4,300 digits."""
     if len(digits) > _INT_DIGITS:
-        digits = digits[next((k for k, d in enumerate(digits) if int(d)), len(digits)):]
+        # drop leading zeros, keeping the last digit of a run of zeros
+        digits = digits[next((k for k, d in enumerate(digits) if int(d)), len(digits) - 1):]
         if len(digits) > _INT_DIGITS:
             return INT_MAX + 2
     return int(digits)

@@ -173,6 +173,9 @@ def test_leading_zeros_keep_a_long_digit_run_in_range():
     assert read_term("0" * 5000 + "42")[0] == Int(42)
     assert read_term("0" * 30 + str(INT_MAX))[0] == Int(INT_MAX)
     assert read_term("-" + "0" * 30 + str(-INT_MIN))[0] == Int(INT_MIN)
+    assert read_term("0" * 20)[0] == Int(0)
+    assert read_term("-" + "0" * 5000)[0] == Int(0)
+    assert read_term("\u0660" * 20)[0] == Int(0)  # Arabic-Indic zeros
     with pytest.raises(ParseError, match="out of 64-bit range"):
         read_program("p(" + "0" * 30 + str(INT_MAX + 1) + ").")
 
