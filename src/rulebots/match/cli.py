@@ -59,6 +59,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.matches < 1:
+        raise ValueError("run needs at least one match")
     counts_total = [0, 0, 0, 0]
     for match_index in range(args.matches):
         config = MatchConfig(

@@ -79,8 +79,9 @@ def match_configs(config: ExperimentConfig) -> list[MatchConfig]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     configs = match_configs(config)
-    if config.jobs > 1:
-        with multiprocessing.Pool(config.jobs) as pool:
+    jobs = min(config.jobs, len(configs))  # a worker beyond one per match would sit idle
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
             results = pool.map(run_match, configs)
     else:
         results = [run_match(c) for c in configs]

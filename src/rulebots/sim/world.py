@@ -214,31 +214,55 @@ class WorldState:
             return bot.edge[0]
         return bot.edge[1]
 
-    def in_fov(self, viewer_id: int, seen_id: int) -> bool:
-        a = self.bots[viewer_id]
-        b = self.bots[seen_id]
-        pa, pb = self.pos_cm(a), self.pos_cm(b)
-        d2 = dist2(pa[0], pa[1], pb[0], pb[1])
+    def _sight(self, dx: int, dy: int, wa: int, wb: int) -> bool | None:
+        """The viewer-free part of the field of view, for a seen bot at offset
+        (dx, dy) near waypoint `wb` from a viewer near `wa`: False when out of
+        range or hidden, True when the two coincide, None when facing decides.
+        Range is symmetric and the map loader keeps visibility symmetric, so
+        the answer holds for either bot as the viewer."""
         rng_cm = self.config.view_range_cm
+        d2 = dx * dx + dy * dy
         if d2 > rng_cm * rng_cm:
             return False
         if d2 == 0:
             return True
         # one set lookup before the bearing arithmetic, which it often saves
-        if not self.map.can_see(self.nearest_wp(a), self.nearest_wp(b)):
-            return False
-        bearing = bearing_deg(pb[0] - pa[0], pb[1] - pa[1])
-        return ang_diff(bearing, a.facing_deg) <= self.config.fov_half_angle_deg
+        return None if self.map.can_see(wa, wb) else False
+
+    def _faces(self, facing_deg: int, dx: int, dy: int) -> bool:
+        """Whether offset (dx, dy) lies in the view cone of a viewer facing `facing_deg`."""
+        return ang_diff(bearing_deg(dx, dy), facing_deg) <= self.config.fov_half_angle_deg
+
+    def in_fov(self, viewer_id: int, seen_id: int) -> bool:
+        """The one-pair form of `fov_pairs`, for tests made after bots moved."""
+        a = self.bots[viewer_id]
+        b = self.bots[seen_id]
+        (ax, ay), (bx, by) = self.pos_cm(a), self.pos_cm(b)
+        dx, dy = bx - ax, by - ay
+        sight = self._sight(dx, dy, self.nearest_wp(a), self.nearest_wp(b))
+        return self._faces(a.facing_deg, dx, dy) if sight is None else sight
 
     def fov_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Ordered (viewer, seen) pairs among living bots, cached per tick; sorted,
-        since ``self.bots`` holds ids in ascending order."""
+        """Ordered (viewer, seen) pairs among living bots, cached per tick and
+        sorted.  One pass over unordered pairs: each bot's position and nearest
+        waypoint are worked out once, range and visibility tested once per
+        pair, and only the facing test is made from each end."""
         key = (self.round_no, self.tick)
         if self._fov_key != key:
-            alive = [b.id for b in self.bots.values() if b.alive]
-            self._fov_pairs = tuple(
-                (a, b) for a in alive for b in alive if a != b and self.in_fov(a, b)
-            )
+            alive = [(b, self.pos_cm(b), self.nearest_wp(b)) for b in self.bots.values() if b.alive]
+            pairs = []
+            for i, (a, (ax, ay), wa) in enumerate(alive):
+                for b, (bx, by), wb in alive[i + 1 :]:
+                    dx, dy = bx - ax, by - ay
+                    sight = self._sight(dx, dy, wa, wb)
+                    if sight is False:
+                        continue
+                    if sight or self._faces(a.facing_deg, dx, dy):
+                        pairs.append((a.id, b.id))
+                    if sight or self._faces(b.facing_deg, -dx, -dy):
+                        pairs.append((b.id, a.id))
+            pairs.sort()
+            self._fov_pairs = tuple(pairs)
             self._enemy_pairs = tuple(
                 (a, b) for a, b in self._fov_pairs if self.bots[a].team != self.bots[b].team
             )

@@ -1,7 +1,9 @@
 """Experiment matrix: pairing schedule, seeds, report formats, parallel runs."""
 
 import json
+from dataclasses import replace
 
+from rulebots.match import experiment
 from rulebots.match import (
     PAIRINGS,
     ExperimentConfig,
@@ -98,6 +100,35 @@ def test_parallel_run_matches_serial():
     ))
     assert report_json(serial) == report_json(parallel)
     assert raw_counts_csv(serial) == raw_counts_csv(parallel)
+
+
+class RecordingPool:
+    """Stands in for `multiprocessing.Pool`: records its size and maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def test_pool_never_outnumbers_matches(monkeypatch):
+    monkeypatch.setattr(experiment.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    one_each = ExperimentConfig(map_name="warehouse", seed=17, rounds=1, matches=1, jobs=64)
+    assert len(match_configs(one_each)) == 4
+    pooled = run_experiment(one_each)
+    assert RecordingPool.sizes == [4]
+    assert report_json(pooled) == report_json(run_experiment(replace(one_each, jobs=1)))
+    assert RecordingPool.sizes == [4]  # one job plays serially, with no pool
 
 
 def test_write_report_emits_files(tmp_path):

@@ -1,9 +1,12 @@
 """Map parsing, validation and visibility derivation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from rulebots.sim import MapError, load_map, parse_map
+from rulebots.sim.mapdef import REQUIRED_TAGS
 
 
 def test_line_map_basics():
@@ -86,6 +89,40 @@ def test_explicit_visibility_replaces_derivation():
     m = parse_map(text)
     assert m.can_see(0, 1)
     assert not m.can_see(0, 2)
+
+
+@st.composite
+def walled_maps(draw):
+    """Chains of waypoints on a small grid, in metres, with random walls."""
+    coord = st.integers(0, 8)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=7))
+    walls = draw(st.lists(st.tuples(coord, coord, coord, coord), max_size=4))
+    tags = ",".join(REQUIRED_TAGS)
+    lines = ["name walled"]
+    lines += [f"waypoint {i} {x} {y} {tags if i == 0 else '-'}" for i, (x, y) in enumerate(points)]
+    lines += [f"edge {i - 1} {i} 1" for i in range(1, len(points))]
+    lines += ["wall {} {} {} {}".format(*wall) for wall in walls]
+    return parse_map("\n".join(lines))
+
+
+def assert_symmetric_visibility(m):
+    # the field of view tests visibility once per pair of bots, for both viewers
+    for a in m.ids:
+        assert (a, a) in m.vis
+        for b in m.ids:
+            assert ((a, b) in m.vis) == ((b, a) in m.vis)
+    assert {a for pair in m.vis for a in pair} <= set(m.ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walled_maps())
+def test_wall_derived_visibility_is_symmetric(m):
+    assert_symmetric_visibility(m)
+
+
+def test_bundled_visibility_is_symmetric(warehouse, airplane):
+    for m in (warehouse, airplane):
+        assert_symmetric_visibility(m)
 
 
 def test_bundled_fixtures_load(warehouse, airplane):

@@ -171,3 +171,12 @@ def test_cli_unknown_map_is_runtime_error(capsys):
     assert cli_main(["run", "--map", "atlantis", "--ct", "native", "--t", "native",
                      "--rounds", "1", "--matches", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("matches", ["0", "-3"])
+def test_cli_run_without_matches_is_runtime_error(matches, capsys):
+    assert cli_main(["run", "--ct", "native", "--t", "native",
+                     "--rounds", "1", "--matches", matches]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: run needs at least one match\n"
