@@ -3,10 +3,10 @@
 import json
 from dataclasses import replace
 
-from rulebots.match import experiment
 from rulebots.match import (
     PAIRINGS,
     ExperimentConfig,
+    experiment,
     match_configs,
     raw_counts_csv,
     report_json,
