@@ -10,10 +10,19 @@ named tests pin the concrete scenarios.
 
 import random
 
+import pytest
+
 import support
 from rulebots.agents import Action
 from rulebots.agents.actions import NORMALIZE_LIMIT
-from rulebots.logic import Int, Struct
+from rulebots.logic import (
+    ExistenceError,
+    InstantiationError,
+    Int,
+    NotPermittedError,
+    Struct,
+    TermTypeError,
+)
 from rulebots.sim import SimConfig, WorldState, parse_map
 
 LIFECYCLE = ("started", "interrupted", "completed", "failed")
@@ -131,6 +140,43 @@ def test_cyclic_continuation_is_bounded():
     events = support.drive_tick(w, ex)
     completed = [ev for ev in lifecycle_of(events) if ev[0] == "completed"]
     assert 0 < len(completed) <= NORMALIZE_LIMIT
+
+
+# -- misuse -------------------------------------------------------------
+
+LAUNCHER_ERRORS = [
+    ("action_goto(X, 3)", InstantiationError, "bot id must be bound"),
+    ("idle(X)", InstantiationError, "bot id must be bound"),
+    ("action_goto(a, 3)", TermTypeError, "expected integer bot id, got 'a'"),
+    ("action_goto(1, 3)", NotPermittedError, "bot 0 cannot drive actions of bot 1"),
+    ("action_goto(0, X)", InstantiationError, "waypoint id must be bound"),
+    ("action_goto(0, f(X))", InstantiationError, "waypoint id must be bound"),
+    ("action_goto(0, a)", TermTypeError, "expected integer waypoint id, got 'a'"),
+    ("action_guard(0, X, ok)", InstantiationError, "waypoint id must be bound"),
+    ("action_kill(0, a)", TermTypeError, "expected integer target bot id, got 'a'"),
+    ("action_kill(0, X)", InstantiationError, "target bot id must be bound"),
+    ("action_buy(0, X)", InstantiationError, "weapon name must be bound"),
+    ("action_buy(0, 3)", TermTypeError, "expected atom weapon name, got '3'"),
+    ("action_buy(0, laser)", TermTypeError, "expected known weapon name, got 'laser'"),
+    ("action_wait(0, b)", TermTypeError, "expected integer tick count, got 'b'"),
+    ("action_wait(0, -1)", TermTypeError, "expected non-negative tick count, got '-1'"),
+    ("action_goto(0, 3, X)", InstantiationError, "action options must be ground"),
+    ("action_goto(0, 3, (ok, foo))", TermTypeError,
+     "expected (motivation, andThen(goal)) pair, got 'ok,foo'"),
+    ("action_liberate_hostages(0, 7)", TermTypeError, "expected callable motivation, got '7'"),
+    ("action_wait(0, 3, ok)", ExistenceError, "unknown predicate action_wait/3"),
+]
+
+
+@pytest.mark.parametrize("goal, error, message", LAUNCHER_ERRORS)
+def test_launcher_misuse_raises_and_starts_nothing(goal, error, message):
+    w, ex, eng = harness()
+    with pytest.raises(error) as caught:
+        eng.run(goal)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+    assert ex.active is None
+    assert lifecycle_of(w.events) == []
 
 
 # -- scripted scenarios -------------------------------------------------
