@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
 
+from rulebots.agents.perception import BOT, WAYPOINT, Native, _bound
 from rulebots.logic import (
     Atom,
     InstantiationError,
@@ -202,20 +202,25 @@ class ActionExecutor:
 # -- rule-facing wrappers ----------------------------------------------
 
 
-def _require_int(term: Term, what: str) -> int:
-    if isinstance(term, Int):
-        return term.value
-    if collect_vars(term):
-        raise InstantiationError(f"{what} must be bound")
-    raise TermTypeError(f"integer {what}", term_str(term))
+def _given(kind: tuple, term: Term):
+    """An argument's plain value; one that holds an open variable is refused."""
+    if type(term) is not kind[0] and collect_vars(term):
+        raise InstantiationError(f"{kind[1]} must be bound")
+    return _bound(term, kind)
 
 
-def _require_atom(term: Term, what: str) -> str:
-    if isinstance(term, Atom):
-        return term.name
-    if collect_vars(term):
-        raise InstantiationError(f"{what} must be bound")
-    raise TermTypeError(f"atom {what}", term_str(term))
+def _weapon(term: Term) -> str:
+    name = _given((Atom, "weapon name"), term)
+    if name not in WEAPONS:
+        raise TermTypeError("known weapon name", name)
+    return name
+
+
+def _ticks(term: Term) -> int:
+    n = _given((Int, "tick count"), term)
+    if n < 0:
+        raise TermTypeError("non-negative tick count", str(n))
+    return n
 
 
 def _require_goal(term: Term, what: str) -> Term:
@@ -243,51 +248,19 @@ def split_opts(opts: Term) -> tuple[Term | None, Term | None]:
 
 
 def _own_bot(executor: ActionExecutor, term: Term) -> None:
-    bot_id = _require_int(term, "bot id")
+    bot_id = _given(BOT, term)
     if bot_id != executor.bot_id:
         raise NotPermittedError(f"bot {executor.bot_id} cannot drive actions of bot {bot_id}")
 
 
-def _launch(executor: ActionExecutor, kind: str, args: tuple, opts: Term | None):
-    motivation, continuation = (None, None) if opts is None else split_opts(opts)
+def _launch(kind: str, checks: tuple, executor: ActionExecutor, bot: Term, *terms: Term):
+    """Start a `kind` action from its checked arguments and any options."""
+    _own_bot(executor, bot)
+    args = tuple(check(term) for check, term in zip(checks, terms))
+    opts = terms[len(checks):]
+    motivation, continuation = split_opts(opts[0]) if opts else (None, None)
     executor.start(Action(kind, args, motivation, continuation))
     return [None]
-
-
-def _goto(executor, bot, node, opts=None):
-    _own_bot(executor, bot)
-    return _launch(executor, "goto", (_require_int(node, "waypoint id"),), opts)
-
-
-def _kill(executor, bot, target, opts=None):
-    _own_bot(executor, bot)
-    return _launch(executor, "kill", (_require_int(target, "target bot id"),), opts)
-
-
-def _liberate(executor, bot, opts=None):
-    _own_bot(executor, bot)
-    return _launch(executor, "liberate_hostages", (), opts)
-
-
-def _guard(executor, bot, node, opts=None):
-    _own_bot(executor, bot)
-    return _launch(executor, "guard", (_require_int(node, "waypoint id"),), opts)
-
-
-def _buy(executor, bot, weapon):
-    _own_bot(executor, bot)
-    name = _require_atom(weapon, "weapon name")
-    if name not in WEAPONS:
-        raise TermTypeError("known weapon name", name)
-    return _launch(executor, "buy", (name,), None)
-
-
-def _wait(executor, bot, ticks):
-    _own_bot(executor, bot)
-    n = _require_int(ticks, "tick count")
-    if n < 0:
-        raise TermTypeError("non-negative tick count", str(n))
-    return _launch(executor, "wait", (n,), None)
 
 
 def _idle(executor, bot):
@@ -295,32 +268,26 @@ def _idle(executor, bot):
     return [None] if executor.active is None else None
 
 
-class Native(NamedTuple):
-    """A native's declaration.  `nondet` lets it answer more than once.  A
-    writer changes the game (it launches an action or writes the team
-    blackboard); a reader only looks, so asking it again is harmless."""
-
-    handler: object
-    nondet: bool = False
-    writes: bool = False
-
+# Every launchable kind: the check of each rule argument after the bot id,
+# and whether an options term may follow them.
+LAUNCHERS = {
+    "goto": ((partial(_given, WAYPOINT),), True),
+    "kill": ((partial(_given, (Int, "target bot id")),), True),
+    "liberate_hostages": ((), True),
+    "guard": ((partial(_given, WAYPOINT),), True),
+    "buy": ((_weapon,), False),
+    "wait": ((_ticks,), False),
+}
 
 # Every action native: (name, arity) -> Native.  A handler takes the bot's
-# executor before its rule arguments; the longer arity of a launcher adds
-# the options term.  Every launcher is a writer.
+# executor before its rule arguments: the bot id, then a launcher's row of
+# arguments and, at the longer arity, options.  Every launcher is a writer.
 ACTION_NATIVES = {
-    ("action_goto", 2): Native(_goto, writes=True),
-    ("action_goto", 3): Native(_goto, writes=True),
-    ("action_kill", 2): Native(_kill, writes=True),
-    ("action_kill", 3): Native(_kill, writes=True),
-    ("action_liberate_hostages", 1): Native(_liberate, writes=True),
-    ("action_liberate_hostages", 2): Native(_liberate, writes=True),
-    ("action_guard", 2): Native(_guard, writes=True),
-    ("action_guard", 3): Native(_guard, writes=True),
-    ("action_buy", 2): Native(_buy, writes=True),
-    ("action_wait", 2): Native(_wait, writes=True),
-    ("idle", 1): Native(_idle),
+    (f"action_{kind}", 1 + len(checks) + extra): Native(partial(_launch, kind, checks), writes=True)
+    for kind, (checks, opts) in LAUNCHERS.items()
+    for extra in range(2 if opts else 1)
 }
+ACTION_NATIVES[("idle", 1)] = Native(_idle)
 
 ACTION_NATIVE_SIGNATURES = tuple(ACTION_NATIVES)
 

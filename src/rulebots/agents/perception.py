@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import partial
 from operator import attrgetter
+from typing import NamedTuple
 
 from rulebots.logic import (
     Atom,
@@ -24,22 +25,33 @@ from rulebots.logic import (
     collect_vars,
     term_str,
 )
-from rulebots.agents.actions import Native
 from rulebots.sim import WorldState
 
-# Argument kinds: (term class, what a bound argument must be).
-BOT = (Int, "integer bot id")
-WAYPOINT = (Int, "integer waypoint id")
-HOSTAGE = (Int, "integer hostage id")
+
+class Native(NamedTuple):
+    """A native's declaration.  `nondet` lets it answer more than once.  A
+    writer changes the game (it launches an action or writes the team
+    blackboard); a reader only looks, so asking it again is harmless."""
+
+    handler: object
+    nondet: bool = False
+    writes: bool = False
+
+
+# Argument kinds: (term class, what the argument names).  The action
+# launchers check their arguments with these kinds too.
+BOT = (Int, "bot id")
+WAYPOINT = (Int, "waypoint id")
+HOSTAGE = (Int, "hostage id")
 
 
 def _bound(term: Term, kind: tuple):
     """A bound argument's plain value, or None while it is open."""
     if type(term) is Var:
         return None
-    cls, expected = kind
+    cls, what = kind
     if type(term) is not cls:
-        raise TermTypeError(expected, term_str(term))
+        raise TermTypeError(f"{'integer' if cls is Int else 'atom'} {what}", term_str(term))
     return term.value if cls is Int else term.name
 
 
@@ -95,7 +107,7 @@ def _tags(world):
 def path_cost(world, board, a, b, c):
     va = _bound(a, WAYPOINT)
     vb = _bound(b, WAYPOINT)
-    _bound(c, (Int, "integer path cost"))
+    _bound(c, (Int, "path cost"))
     if va is None or vb is None:
         raise InstantiationError("path_cost/3 needs both waypoint ids bound")
     if va not in world.map.waypoints or vb not in world.map.waypoints:
@@ -130,10 +142,10 @@ PERCEPTION_NATIVES = {
     ("bot_alive", 1): Native(
         _view(lambda w: [(b.id,) for b in w.bots.values() if b.alive], BOT), nondet=True
     ),
-    ("team", 2): Native(_bot_field("team", (Atom, "atom team name")), nondet=True),
-    ("health", 2): Native(_bot_field("health", (Int, "integer health")), nondet=True),
-    ("ammo", 2): Native(_bot_field("ammo", (Int, "integer ammo")), nondet=True),
-    ("money", 2): Native(_bot_field("money", (Int, "integer money")), nondet=True),
+    ("team", 2): Native(_bot_field("team", (Atom, "team name")), nondet=True),
+    ("health", 2): Native(_bot_field("health", (Int, "health")), nondet=True),
+    ("ammo", 2): Native(_bot_field("ammo", (Int, "ammo")), nondet=True),
+    ("money", 2): Native(_bot_field("money", (Int, "money")), nondet=True),
     ("at_waypoint", 2): Native(_view(_waypoints, BOT, WAYPOINT), nondet=True),
     ("hostage_at", 2): Native(
         _view(lambda w: [(h.id, h.node) for h in w.free_hostages()], HOSTAGE, WAYPOINT),
@@ -144,9 +156,9 @@ PERCEPTION_NATIVES = {
         nondet=True,
     ),
     ("hear_footsteps", 2): Native(_view(_footsteps, BOT, BOT), nondet=True),
-    ("round_time_left", 1): Native(_view(lambda w: [(w.clock // 4,)], (Int, "integer seconds"))),
-    ("game_phase", 1): Native(_view(lambda w: [(w.phase,)], (Atom, "atom phase"))),
-    ("waypoint_tag", 2): Native(_view(_tags, WAYPOINT, (Atom, "atom tag")), nondet=True),
+    ("round_time_left", 1): Native(_view(lambda w: [(w.clock // 4,)], (Int, "seconds"))),
+    ("game_phase", 1): Native(_view(lambda w: [(w.phase,)], (Atom, "phase"))),
+    ("waypoint_tag", 2): Native(_view(_tags, WAYPOINT, (Atom, "tag")), nondet=True),
     ("path_cost", 3): Native(path_cost),
     ("team_assert", 1): Native(team_assert, writes=True),
     ("team_retract", 1): Native(team_retract, writes=True),

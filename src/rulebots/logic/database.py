@@ -127,22 +127,19 @@ class StoredClause:
 
 
 class _Predicate:
-    __slots__ = ("clauses", "declared_dynamic")
+    __slots__ = ("clauses",)
 
     def __init__(self):
         self.clauses: list[StoredClause] = []
-        self.declared_dynamic = False
 
     def drop_dead(self):
         self.clauses = [c for c in self.clauses if c.death is None]
 
 
 class NativePredicate:
-    __slots__ = ("name", "arity", "handler", "nondet")
+    __slots__ = ("handler", "nondet")
 
-    def __init__(self, name: str, arity: int, handler, nondet: bool):
-        self.name = name
-        self.arity = arity
+    def __init__(self, handler, nondet: bool):
         self.handler = handler
         self.nondet = nondet
 
@@ -220,11 +217,8 @@ class KnowledgeBase:
     def declare_dynamic(self, name: str, arity: int):
         key = (name, arity)
         self.check_writable(key, "declare dynamic")
-        pred = self._preds.get(key)
-        if pred is None:
-            pred = _Predicate()
-            self._preds[key] = pred
-        pred.declared_dynamic = True
+        if key not in self._preds:
+            self._preds[key] = _Predicate()
 
     def register_native(self, name: str, arity: int, handler, nondet: bool = False):
         key = (name, arity)
@@ -234,7 +228,7 @@ class KnowledgeBase:
             raise NotPermittedError(f"native {name}/{arity} already registered")
         if key in self._preds and any(c.death is None for c in self._preds[key].clauses):
             raise NotPermittedError(f"cannot register native over defined predicate {name}/{arity}")
-        self._natives[key] = NativePredicate(name, arity, handler, nondet)
+        self._natives[key] = NativePredicate(handler, nondet)
 
     # -- loading -----------------------------------------------------------
 

@@ -180,6 +180,14 @@ class _Parser:
             self.varmap[name] = v
         return v
 
+    def parse_whole(self) -> Term:
+        """One whole term.  Nesting deeper than the interpreter's recursion
+        limit allows is a ParseError at the token the parser had reached."""
+        try:
+            return self.parse(1200)
+        except RecursionError:
+            self.fail("term nested too deep", self.peek())
+
     def _starts_term(self, t: _Token) -> bool:
         if t.kind in ("int", "var", "atom"):
             return True
@@ -276,7 +284,7 @@ class _Parser:
 def read_term(text: str) -> tuple[Term, dict[str, Var]]:
     """Parse one term.  Returns the term and the named-variable map."""
     p = _Parser(text)
-    term = p.parse(1200)
+    term = p.parse_whole()
     t = p.peek()
     if t.kind == "end":
         p.next()
@@ -302,7 +310,7 @@ def read_program(text: str) -> list[tuple[Term, Term]]:
         if t.kind == "eof":
             return clauses
         p.reset_vars()
-        term = p.parse(1200)
+        term = p.parse_whole()
         endtok = p.next()
         if endtok.kind != "end":
             p.fail("expected '.' at end of clause", endtok)

@@ -81,13 +81,14 @@ class _TickTimer:
 
 
 def timed_match(config: MatchConfig) -> tuple[PerfReport, MatchResult]:
-    """Play the match once with its ticks timed, then an all-native reference."""
+    """Play the match once with its ticks timed, then an all-native reference
+    timed the same way, so identical work reads a delta of 0."""
     timer = _TickTimer()
     result = run_match(config, timer)
     native = ControllerSpec("native")
-    t0 = time.perf_counter()
-    run_match(replace(config, ct=native, t=native))
-    native_total_ms = (time.perf_counter() - t0) * 1000.0
+    reference = _TickTimer()
+    run_match(replace(config, ct=native, t=native), reference)
+    native_total_ms = sum(reference.reasoning) + sum(reference.simulation)
     counts = [mind.proof_counts() for mind in timer.minds.values()]
     report = PerfReport(tuple(timer.reasoning), tuple(timer.simulation), native_total_ms,
                         sum(run for run, _ in counts), sum(reused for _, reused in counts))

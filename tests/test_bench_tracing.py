@@ -8,7 +8,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from rulebots.agents import minds
+from rulebots.agents import ACTION_NATIVE_SIGNATURES, minds
 from rulebots.logic import Engine, KnowledgeBase
 from rulebots.match import ControllerSpec, MatchConfig, run_match
 from rulebots.match import match as match_module
@@ -44,6 +44,12 @@ def test_tracing_measures_every_layer_and_restores_the_program():
     assert native_calls > 0
     assert native_calls == sum(
         metrics[f"agents.perception.{name}_calls"][0] for name in tracing.PERCEPTION_NAMES
+    )
+    action_calls = metrics["agents.actions.native_calls"][0]
+    assert action_calls > 0
+    assert action_calls == sum(
+        tracer.counts[f"agents.actions.{name}_calls"]
+        for name in dict.fromkeys(n for n, _ in ACTION_NATIVE_SIGNATURES)
     )
     assert [vars(owner)[name] for owner, name in patched] == originals
     assert match_module.build_match is build_match

@@ -1,5 +1,8 @@
 """Reasoning-vs-simulation timing: report shape and invariants."""
 
+import itertools
+import time
+
 import support
 from rulebots.match import ControllerSpec, MatchConfig, PerfReport, measure_performance, replay
 from rulebots.match import cli, match
@@ -39,6 +42,17 @@ def test_aggregates_from_known_samples():
     assert report.p95_reasoning_ms == 4.0
     assert report.reasoning_share == 0.5
     assert report.native_delta == 1.0
+
+
+def test_identical_work_reads_no_native_delta(monkeypatch):
+    # each clock reading is one second later, so a span's length counts the
+    # readings inside it; the all-native reference must be timed like the match
+    clock = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(clock)))
+    report = measure_performance(config_for("native"))
+    assert report.total_ms > 0.0
+    assert report.native_total_ms == report.total_ms
+    assert report.native_delta == 0.0
 
 
 def test_a_native_match_reuses_proofs():

@@ -1,11 +1,15 @@
 """Edinburgh-syntax reader: tokens, operators, clauses."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rulebots.logic import (
     Atom,
+    Engine,
     Int,
+    KnowledgeBase,
     ParseError,
     Struct,
     make_list,
@@ -178,6 +182,25 @@ def test_leading_zeros_keep_a_long_digit_run_in_range():
     assert read_term("\u0660" * 20)[0] == Int(0)  # Arabic-Indic zeros
     with pytest.raises(ParseError, match="out of 64-bit range"):
         read_program("p(" + "0" * 30 + str(INT_MAX + 1) + ").")
+
+
+DEPTH = sys.getrecursionlimit()
+TOO_DEEP = {
+    "arguments": "p :- f(" + "f(" * DEPTH + "a" + ")" * DEPTH + ").",
+    "lists": "p :- f(" + "[" * DEPTH + "]" * DEPTH + ").",
+    "conjuncts": "p :- " + ", ".join(["a"] * 2 * DEPTH) + ".",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+def test_nesting_past_the_recursion_limit_is_a_parse_error(shape):
+    engine = Engine(KnowledgeBase(), output=lambda s: None)
+    for read in (read_term, read_program, engine.consult):
+        with pytest.raises(ParseError) as info:
+            read(TOO_DEEP[shape])
+        assert str(info.value).startswith("term nested too deep at line 1, column ")
+    engine.consult("q(f([[a]])).")
+    assert engine.run("q(f([[a]]))") == [{}]
 
 
 def test_program_requires_terminating_dot():

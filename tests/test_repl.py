@@ -40,13 +40,17 @@ def test_tick_and_state_commands():
 
 def test_bad_input_reports_errors():
     long_run = "f(" + "1" * 5000 + ")."
-    text = run_session(["pred(", ":frobnicate", ":tick zap", "f(²).", long_run, "game_phase(buy).", ":quit"])
+    deep = "f(" * 1000 + "a" + ")" * 1000 + "."
+    text = run_session(["pred(", ":frobnicate", ":tick zap", "f(²).", long_run, deep,
+                        "game_phase(buy).", ":quit"])
     assert "error:" in text
     assert "unknown command" in text
     assert "bad tick count" in text
     assert "unexpected character" in text
     assert "integer literal out of 64-bit range" in text
     assert "true." in text.split("integer literal out of 64-bit range")[1]
+    assert "error: term nested too deep at line 1" in text
+    assert "true." in text.split("term nested too deep")[1]
 
 
 def test_queries_see_scripted_rules():
