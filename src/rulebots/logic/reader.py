@@ -182,11 +182,13 @@ class _Parser:
 
     def parse_whole(self) -> Term:
         """One whole term.  Nesting deeper than the interpreter's recursion
-        limit allows is a ParseError at the token the parser had reached."""
+        limit allows is a ParseError at the token the parser had reached,
+        raised once the stack has unwound so that it chains no traceback."""
         try:
             return self.parse(1200)
         except RecursionError:
-            self.fail("term nested too deep", self.peek())
+            pass
+        self.fail("term nested too deep", self.peek())
 
     def _starts_term(self, t: _Token) -> bool:
         if t.kind in ("int", "var", "atom"):
