@@ -142,6 +142,113 @@ def test_cyclic_continuation_is_bounded():
     assert 0 < len(completed) <= NORMALIZE_LIMIT
 
 
+# -- how each kind ends -------------------------------------------------
+
+DWELL = 5  # guard_dwell_ticks of the end-of-action world
+
+
+def _kill_bot(w):
+    w.bots[0].alive = False
+
+
+def _go_broke(w):
+    w.bots[0].money = 0
+
+
+def _stand_on_hostage(w):
+    w.bots[0].node = 4
+
+
+def _hostage_taken(w):
+    w.hostages[0].following = 1
+
+
+# (goal, {tick index: change made before that tick}, lifecycle as
+# (event, label, ticks since launch), continuation runs, still active).
+# A kind that never ends is driven for 12 ticks.
+ACTION_ENDS = {
+    "goto arrives": (
+        "action_goto(0, 1, andThen(mark(1)))", {},
+        [("started", "goto(1)", 0), ("completed", "goto(1)", 4)], 1, False),
+    "goto already there": (
+        "action_goto(0, 0, andThen(mark(1)))", {},
+        [("started", "goto(0)", 0), ("completed", "goto(0)", 0)], 1, False),
+    "goto unknown waypoint fails": (
+        "action_goto(0, 99, andThen(mark(1)))", {},
+        [("started", "goto(99)", 0), ("failed", "goto(99)", 0)], 0, False),
+    "guard dwells at its post": (
+        "action_guard(0, 0, andThen(mark(1)))", {},
+        [("started", "guard(0)", 0), ("completed", "guard(0)", DWELL)], 1, False),
+    "guard counts only ticks at the post": (
+        "action_guard(0, 1, andThen(mark(1)))", {},
+        [("started", "guard(1)", 0), ("completed", "guard(1)", 4 + DWELL)], 1, False),
+    "guard unknown post fails": (
+        "action_guard(0, 99, andThen(mark(1)))", {},
+        [("started", "guard(99)", 0), ("failed", "guard(99)", 0)], 0, False),
+    "wait(3)": (
+        "action_wait(0, 3)", {},
+        [("started", "wait(3)", 0), ("completed", "wait(3)", 3)], 0, False),
+    "wait(0)": (
+        "action_wait(0, 0)", {},
+        [("started", "wait(0)", 0), ("completed", "wait(0)", 0)], 0, False),
+    "buy with the money": (
+        "action_buy(0, rifle)", {},
+        [("started", "buy(rifle)", 0), ("completed", "buy(rifle)", 1)], 0, False),
+    "buy without the money fails": (
+        "action_buy(0, rifle)", {0: _go_broke},
+        [("started", "buy(rifle)", 0), ("failed", "buy(rifle)", 1)], 0, False),
+    "kill never completes": (
+        "action_kill(0, 1, andThen(mark(1)))", {},
+        [("started", "kill(1)", 0)], 0, True),
+    "liberate leads a hostage": (
+        "action_liberate_hostages(0, andThen(mark(1)))", {0: _stand_on_hostage},
+        [("started", "liberate_hostages", 0), ("completed", "liberate_hostages", 1)], 1, False),
+    "liberate with no free hostage": (
+        "action_liberate_hostages(0, andThen(mark(1)))", {0: _hostage_taken},
+        [("started", "liberate_hostages", 0), ("completed", "liberate_hostages", 0)], 1, False),
+    "death interrupts": (
+        "action_goto(0, 5, andThen(mark(1)))", {2: _kill_bot},
+        [("started", "goto(5)", 0), ("interrupted", "goto(5)", 2)], 0, False),
+    "death comes before completion": (
+        "action_goto(0, 0, andThen(mark(1)))", {0: _kill_bot},
+        [("started", "goto(0)", 0), ("interrupted", "goto(0)", 0)], 0, False),
+    "death comes before failure": (
+        "action_goto(0, 99, andThen(mark(1)))", {0: _kill_bot},
+        [("started", "goto(99)", 0), ("interrupted", "goto(99)", 0)], 0, False),
+    "completion comes before a lost motivation": (
+        "action_goto(0, 0, (ok, andThen(mark(1))))", {},
+        [("started", "goto(0)", 0), ("completed", "goto(0)", 0)], 1, False),
+    "failure comes before a lost motivation": (
+        "action_guard(0, 99, (ok, andThen(mark(1))))", {},
+        [("started", "guard(99)", 0), ("failed", "guard(99)", 0)], 0, False),
+    "a lost motivation interrupts": (
+        "action_guard(0, 0, (ok, andThen(mark(1))))", {},
+        [("started", "guard(0)", 0), ("interrupted", "guard(0)", 0)], 0, False),
+}
+
+
+@pytest.mark.parametrize("name", ACTION_ENDS)
+def test_how_each_kind_ends(name):
+    goal, changes, lifecycle, runs, active = ACTION_ENDS[name]
+    w = WorldState(LINE, SimConfig(buy_ticks=1, guard_dwell_ticks=DWELL), 0)
+    support.skip_buy_phase(w)
+    ex, eng = support.executor_harness(w)
+    launched = w.tick
+    assert eng.run(goal) == [{}]
+    for i in range(12):
+        if i in changes:
+            changes[i](w)
+        support.drive_tick(w, ex)
+        if ex.active is None:
+            break
+    assert [
+        (e[3], e[4].removeprefix("action="), e[0] - launched)
+        for e in w.events if e[3] in LIFECYCLE
+    ] == lifecycle
+    assert mark_count(eng, 1) == runs
+    assert (ex.active is not None) == active
+
+
 # -- misuse -------------------------------------------------------------
 
 LAUNCHER_ERRORS = [
