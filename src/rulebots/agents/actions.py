@@ -1,16 +1,17 @@
 """Durative actions and their per-bot executor.
 
 An action owns three things: a low-level controller that emits one sim
-intent per tick, a completion condition checked at the start of the next
-tick, and an optional motivation goal that interrupts the action as soon
-as it stops being provable.  A completed action may chain into a
-continuation goal.  Scripted and hand-coded minds share this executor,
-so their action lifecycles are directly comparable.
+intent per tick, an end test checked at the start of the next tick
+(the bot's death, then failure, then completion), and an optional
+motivation goal that interrupts the action as soon as it stops being
+provable.  A completed action may chain into a continuation goal.
+Scripted and hand-coded minds share this executor, so their action
+lifecycles are directly comparable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from rulebots.agents.perception import BOT, WAYPOINT, Native, _bound
@@ -45,7 +46,7 @@ class Action:
     args: tuple
     motivation: Term | None = None
     continuation: Term | None = None
-    state: dict = field(default_factory=dict)
+    ticks: int = 0  # guard: ticks at the post; wait: ticks waited; buy: 1 once tried
 
     def label(self) -> str:
         if not self.args:
@@ -75,67 +76,52 @@ class ActionExecutor:
         self._emit("started", action)
 
     def normalize(self) -> None:
-        """Settle the action state: completions chain into continuations,
-        failed or unmotivated actions are dropped.  Bounded so a cyclic
-        continuation cannot hang the tick."""
-        bot = self.world.bots[self.bot_id]
-        if not bot.alive:
-            if self.active is not None:
-                self._emit("interrupted", self.active)
-                self.active = None
-            return
+        """Settle the action state: an ended action is dropped, and a
+        completed one chains into its continuation; an unmotivated one is
+        interrupted.  Bounded so a cyclic continuation cannot hang the tick."""
         for _ in range(NORMALIZE_LIMIT):
             action = self.active
             if action is None:
                 return
-            if self._completed(action):
-                self._emit("completed", action)
-                self.active = None
-                if action.continuation is not None:
-                    self.prove(action.continuation)
-                continue
-            if self._failed(action):
-                self._emit("failed", action)
-                self.active = None
-                continue
-            if action.motivation is not None and not self.prove(action.motivation):
-                self._emit("interrupted", action)
-                self.active = None
-                continue
-            return
+            outcome = self._outcome(action)
+            if outcome is None:
+                if action.motivation is None or self.prove(action.motivation):
+                    return
+                outcome = "interrupted"
+            self._emit(outcome, action)
+            self.active = None
+            if outcome == "completed" and action.continuation is not None:
+                self.prove(action.continuation)
 
     def _emit(self, etype: str, action: Action) -> None:
         self.world.log_agent_event(self.bot_id, etype, f"action={action.label()}")
 
-    # -- conditions -----------------------------------------------------
-
-    def _completed(self, action: Action) -> bool:
-        bot = self.world.bots[self.bot_id]
+    def _outcome(self, action: Action) -> str | None:
+        """How the action has ended: "interrupted" once the bot is dead,
+        then "failed" or "completed", in that order; None while it runs."""
+        world = self.world
+        bot = world.bots[self.bot_id]
+        if not bot.alive:
+            return "interrupted"
         kind = action.kind
+        if kind in ("goto", "guard") and action.args[0] not in world.map.waypoints:
+            return "failed"
+        if kind == "buy":
+            if not action.ticks:
+                return None
+            return "completed" if bot.weapon.name == action.args[0] else "failed"
         if kind == "goto":
-            return bot.edge is None and bot.node == action.args[0]
-        if kind == "kill":
-            return False
-        if kind == "liberate_hostages":
-            if any(h.following == self.bot_id for h in self.world.led_hostages()):
-                return True
-            return self._nearest_free_hostage() is None
-        if kind == "guard":
-            return action.state.get("dwell", 0) >= self.world.config.guard_dwell_ticks
-        if kind == "buy":
-            return bool(action.state.get("attempted")) and bot.weapon.name == action.args[0]
-        if kind == "wait":
-            return action.state.get("waited", 0) >= action.args[0]
-        return False
-
-    def _failed(self, action: Action) -> bool:
-        kind = action.kind
-        if kind in ("goto", "guard"):
-            return action.args[0] not in self.world.map.waypoints
-        if kind == "buy":
-            bot = self.world.bots[self.bot_id]
-            return bool(action.state.get("attempted")) and bot.weapon.name != action.args[0]
-        return False
+            ended = bot.edge is None and bot.node == action.args[0]
+        elif kind == "guard":
+            ended = action.ticks >= world.config.guard_dwell_ticks
+        elif kind == "wait":
+            ended = action.ticks >= action.args[0]
+        elif kind == "liberate_hostages":
+            ended = (any(h.following == self.bot_id for h in world.led_hostages())
+                     or self._nearest_free_hostage() is None)
+        else:  # kill ends only when interrupted
+            ended = False
+        return "completed" if ended else None
 
     # -- controllers ----------------------------------------------------
 
@@ -159,17 +145,15 @@ class ActionExecutor:
         if kind == "guard":
             post = action.args[0]
             if bot.edge is None and bot.node == post:
-                action.state["dwell"] = action.state.get("dwell", 0) + 1
+                action.ticks += 1
                 # sweep the surroundings while holding the post
                 turn = self.world.config.turn_deg_per_tick
                 return FaceIntent((bot.facing_deg + turn) % 360)
             return self._move_toward(post)
         if kind == "buy":
-            action.state["attempted"] = True
+            action.ticks = 1
             return BuyIntent(action.args[0])
-        if kind == "wait":
-            action.state["waited"] = action.state.get("waited", 0) + 1
-            return IdleIntent()
+        action.ticks += 1  # wait
         return IdleIntent()
 
     def _move_toward(self, target: int):

@@ -33,7 +33,10 @@ runs it once.  A stream snapshots the store generation when it starts;
 changes made while it is open are invisible to it, and the store keeps
 the clauses it may still see until it closes.  A query is bounded by
 `max_depth` and `max_steps`; no proof, copy, unification or evaluation
-uses Python's stack.
+uses Python's stack.  `_Machine.match` and `_Machine.build` still do: they
+recurse on a clause pattern's nesting, so calling a stored term with
+variables nested 500 or more deep raises a bare `RecursionError` until
+they work over explicit stacks (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from rulebots.logic.terms import (
     Struct,
     Term,
     Var,
-    collect_vars,
     fresh_var,
     functor_key,
     make_list,
@@ -657,12 +659,7 @@ class Engine:
     def consult(self, text: str):
         return self.kb.consult(text)
 
-    def solve(self, goal: Term, names: dict[str, Var] | None = None) -> SolutionStream:
-        if names is None:
-            names = {}
-            for v in collect_vars(goal):
-                if v.name and v.name != "_" and v.name not in names:
-                    names[v.name] = v
+    def solve(self, goal: Term, names: dict[str, Var]) -> SolutionStream:
         return SolutionStream(self._machine(), goal, names)
 
     def run(self, text: str) -> list[dict[str, Term]]:

@@ -157,11 +157,10 @@ def iter_list(t: Term):
     return items, t
 
 
-def collect_vars(t: Term, acc: list[Var] | None = None) -> list[Var]:
+def collect_vars(t: Term) -> list[Var]:
     """All variables in first-occurrence order (each id once)."""
-    if acc is None:
-        acc = []
-    seen = {v.id for v in acc}
+    acc = []
+    seen = set()
     stack = [t]
     while stack:
         x = stack.pop()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 MIND_KINDS = ("native", "scripted")
@@ -40,6 +41,10 @@ def controller_text(spec: ControllerSpec) -> str:
     return spec.kind
 
 
+# The type of each value in `MatchConfig.to_json`'s dict.
+_JSON_TYPES = {"map": str, "seed": int, "rounds": int, "ct": str, "t": str}
+
+
 @dataclass(frozen=True)
 class MatchConfig:
     map_name: str = "warehouse"
@@ -62,11 +67,18 @@ class MatchConfig:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "MatchConfig":
+    def from_json(cls, data) -> "MatchConfig":
+        """The inverse of `to_json`.  A missing key raises KeyError; a value of
+        the wrong type, or data that is not an object, raises ValueError."""
+        if type(data) is not dict:
+            raise ValueError(f"expected an object, got {json.dumps(data)}")
+        for key, kind in _JSON_TYPES.items():
+            if type(data[key]) is not kind:
+                raise ValueError(f"{key} must be {kind.__name__}, got {json.dumps(data[key])}")
         return cls(
             map_name=data["map"],
-            seed=int(data["seed"]),
-            rounds=int(data["rounds"]),
+            seed=data["seed"],
+            rounds=data["rounds"],
             ct=parse_controller(data["ct"]),
             t=parse_controller(data["t"]),
         )

@@ -9,6 +9,7 @@ derived from wall segments with an exact integer intersection test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from rulebots.sim.geometry import segments_intersect
@@ -40,7 +41,6 @@ class MapDefinition:
     adj: dict[int, tuple]  # id -> ((neighbour, cost_cm), ...) sorted by neighbour
     edge_cost: dict[tuple[int, int], int]
     vis: frozenset  # symmetric (a, b) pairs, self pairs included
-    walls: tuple
     source_hash: int = 0
     _dist_cache: dict = field(default_factory=dict, repr=False)
 
@@ -67,11 +67,13 @@ class MapDefinition:
 
 def _parse_cm(token: str, where: str) -> int:
     try:
-        v = float(token)
+        v = float(token) * 100
     except ValueError:
-        raise MapError(f"{where}: bad number {token!r}") from None
-    cm = round(v * 100)
-    if abs(v * 100 - cm) > 1e-6:
+        v = math.nan
+    if not math.isfinite(v):
+        raise MapError(f"{where}: bad number {token!r}")
+    cm = round(v)
+    if abs(v - cm) > 1e-6:
         raise MapError(f"{where}: {token!r} is finer than centimetre precision")
     return int(cm)
 
@@ -215,7 +217,6 @@ def parse_map(text: str, name_hint: str = "") -> MapDefinition:
         adj=adj,
         edge_cost=edge_cost,
         vis=frozenset(vis),
-        walls=tuple(walls),
         source_hash=fnv1a64(text.encode("utf-8")),
     )
 

@@ -82,6 +82,18 @@ def test_rejected_maps(mangle, desc):
         parse_map(mangle(support.LINE_MAP))
 
 
+@pytest.mark.parametrize("number", ["inf", "-inf", "nan", "1e400", "1e307", "four"])
+def test_non_numbers_and_non_finite_numbers_are_bad(number):
+    for line, mangled in (
+        (4, support.LINE_MAP.replace("waypoint 1 4 0", f"waypoint 1 {number} 0")),
+        (9, support.LINE_MAP.replace("edge 0 1 4", f"edge 0 1 {number}")),
+        (14, support.LINE_MAP + f"wall 1 1 1 {number}\n"),
+    ):
+        with pytest.raises(MapError) as caught:
+            parse_map(mangled)
+        assert str(caught.value) == f"line {line}: bad number {number!r}"
+
+
 def test_explicit_visibility_replaces_derivation():
     text = "\n".join(
         line for line in support.LINE_MAP.splitlines()

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import support
 from rulebots.match import (
     ControllerSpec,
     MatchConfig,
@@ -14,7 +15,7 @@ from rulebots.match import (
     write_trace,
 )
 from rulebots.match.cli import main as cli_main
-from rulebots.match.replay import render_body
+from rulebots.match.replay import TRACE_VERSION, render_body
 
 NATIVE = ControllerSpec("native", ())
 
@@ -101,6 +102,31 @@ def test_read_trace_rejects_wrong_version(tmp_path):
         read_trace(path)
 
 
+GOOD_CONFIG = '{"ct": "native", "map": "warehouse", "rounds": 1, "seed": 0, "t": "native"}'
+
+BAD_CONFIGS = [
+    ("[]", "expected an object, got []"),
+    ("5", "expected an object, got 5"),
+    (GOOD_CONFIG.replace('"native"', "5", 1), "ct must be str, got 5"),
+    (GOOD_CONFIG.replace('"seed": 0', '"seed": null'), "seed must be int, got null"),
+    (GOOD_CONFIG.replace('"rounds": 1', '"rounds": "1"'), 'rounds must be int, got "1"'),
+    (GOOD_CONFIG.replace('"rounds": 1', '"rounds": true'), "rounds must be int, got true"),
+    (GOOD_CONFIG.replace('"warehouse"', "[]"), "map must be str, got []"),
+    (GOOD_CONFIG.replace('"seed": 0, ', ""), "'seed'"),
+    (GOOD_CONFIG.replace('"rounds": 1', '"rounds": 0'), "a match needs at least one round"),
+]
+
+
+@pytest.mark.parametrize("config, message", BAD_CONFIGS, ids=[m for _, m in BAD_CONFIGS])
+def test_cli_replay_bad_embedded_config_is_validation_error(config, message, tmp_path, capsys):
+    path = tmp_path / "bad.trace"
+    path.write_text(f"#{TRACE_VERSION}\n#config {config}\n#map-hash 0\n")
+    assert cli_main(["replay", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bad embedded config: {message}\n"
+
+
 def test_replay_flags_map_hash_mismatch(tmp_path):
     path = tmp_path / "match.trace"
     write_trace(path, run_match(native_config(seed=5, rounds=1)))
@@ -171,6 +197,16 @@ def test_cli_unknown_map_is_runtime_error(capsys):
     assert cli_main(["run", "--map", "atlantis", "--ct", "native", "--t", "native",
                      "--rounds", "1", "--matches", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_run_map_with_a_bad_number_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "bad.map"
+    path.write_text(support.LINE_MAP.replace("waypoint 1 4 0", "waypoint 1 inf 0"))
+    assert cli_main(["run", "--map", str(path), "--ct", "native", "--t", "native",
+                     "--rounds", "1", "--matches", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 4: bad number 'inf'\n"
 
 
 @pytest.mark.parametrize("matches", ["0", "-3"])

@@ -76,7 +76,8 @@ def test_prelude_combinators(baseline_stack):
 
 
 def test_signature_tables_match_what_a_mind_registers(baseline_stack):
-    # the validator trusts these hand-kept tables, so they must not drift
+    # the validator trusts these tables, derived from the natives' rows, to
+    # list exactly what a mind registers
     mind = scripted_mind(support.line_world(), 0, baseline_stack)
     registered = list(mind.engine.kb._natives)
     tables = PERCEPTION_NATIVE_SIGNATURES + ACTION_NATIVE_SIGNATURES
