@@ -118,7 +118,7 @@ class ActionExecutor:
             ended = action.ticks >= action.args[0]
         elif kind == "liberate_hostages":
             ended = (any(h.following == self.bot_id for h in world.led_hostages())
-                     or self._nearest_free_hostage() is None)
+                     or self.nearest_free_hostage() is None)
         else:  # kill ends only when interrupted
             ended = False
         return "completed" if ended else None
@@ -136,7 +136,7 @@ class ActionExecutor:
         if kind == "kill":
             return AttackIntent(action.args[0])
         if kind == "liberate_hostages":
-            hostage = self._nearest_free_hostage()
+            hostage = self.nearest_free_hostage()
             if hostage is None:
                 return IdleIntent()
             if bot.edge is None and bot.node == hostage.node:
@@ -170,17 +170,12 @@ class ActionExecutor:
         path = shortest_path(mapdef, bot.node, target)
         return MoveIntent(path[1])
 
-    def _nearest_free_hostage(self):
-        """Cheapest reachable hostage that is neither rescued nor already
-        following someone; ties break on the lower hostage id."""
-        bot = self.world.bots[self.bot_id]
-        my = self.world.nearest_wp(bot)
-        best = None
-        for h in self.world.free_hostages():
-            cost = self.world.map.cost(my, h.node)
-            if best is None or cost < best[0]:
-                best = (cost, h)
-        return None if best is None else best[1]
+    def nearest_free_hostage(self):
+        """The cheapest hostage to reach that is neither rescued nor led, or
+        None; `min` keeps the first of equal costs, so the lower id wins."""
+        world = self.world
+        my = world.nearest_wp(world.bots[self.bot_id])
+        return min(world.free_hostages(), key=lambda h: world.map.cost(my, h.node), default=None)
 
 
 # -- rule-facing wrappers ----------------------------------------------

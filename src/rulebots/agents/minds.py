@@ -238,14 +238,8 @@ class NativeMind(Mind):
         self._head_home()
 
     def _pick_hostage_node(self) -> int | None:
-        world = self.world
-        my = world.nearest_wp(world.bots[self.bot_id])
-        best = None
-        for hostage in world.free_hostages():
-            cost = world.map.cost(my, hostage.node)
-            if best is None or cost < best[0]:
-                best = (cost, hostage.node)
-        return None if best is None else best[1]
+        hostage = self.executor.nearest_free_hostage()
+        return None if hostage is None else hostage.node
 
     def _direct_approach(self, node: int) -> None:
         self.executor.start(
@@ -279,13 +273,8 @@ class NativeMind(Mind):
         self.executor.start(Action("guard", (post,), motivation=self._peace()))
 
     def _nearest_tagged(self, from_wp: int, tag: str) -> int:
-        world = self.world
-        best = None
-        for wid in world.map.tagged(tag):
-            cost = world.map.cost(from_wp, wid)
-            if best is None or cost < best[0]:
-                best = (cost, wid)
-        return best[1]
+        mapdef = self.world.map
+        return min(mapdef.tagged(tag), key=lambda wid: mapdef.cost(from_wp, wid))
 
 
 def make_mind(kind: str, world, bot_id, board, stack=None) -> Mind:

@@ -20,7 +20,6 @@ from rulebots.match.experiment import (
     run_experiment,
     write_report,
 )
-from rulebots.match.trace import diag_lines, trace_lines
 from rulebots.match.replay import ReplayResult, TraceError, read_trace, replay, write_trace
 from rulebots.match.perf import PerfReport, measure_performance
 
@@ -44,8 +43,6 @@ __all__ = [
     "report_text",
     "run_experiment",
     "write_report",
-    "diag_lines",
-    "trace_lines",
     "ReplayResult",
     "TraceError",
     "read_trace",

@@ -35,6 +35,8 @@ class ExperimentConfig:
             raise ValueError("experiment needs at least one round and one match")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if not self.packages:
+            raise ValueError("experiment needs at least one rule package for the scripted sides")
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,8 @@ class Repl:
                 rest = line[len(":tick"):].strip()
                 try:
                     count = int(rest) if rest else 1
+                    if count < 0:
+                        raise ValueError(rest)
                 except ValueError:
                     self.write(f"bad tick count: {rest!r}\n")
                     continue

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from rulebots.match.config import MatchConfig
 from rulebots.match.match import MatchResult, run_match
-from rulebots.match.trace import trace_lines
+from rulebots.sim import WORLD
 
 TRACE_VERSION = "rulebots-trace v1"
 
@@ -25,10 +25,16 @@ class ReplayResult:
 
 
 def render_body(result: MatchResult) -> list[str]:
+    """Per round, its digest line, then one `tick;bot;event;payload` line per
+    event (`-` for the world's), in tick, then bot, then logging order.  An
+    event's sequence number is unique within its round, so the sort never
+    compares further than it."""
     lines = []
     for round_no, round_result in enumerate(result.rounds):
         lines.append(f"#round {round_no} digest={round_result.digest:016x}")
-        lines.extend(trace_lines(round_result.events))
+        for tick, bot_key, _seq, etype, payload in sorted(round_result.events):
+            bot = "-" if bot_key == WORLD else bot_key
+            lines.append(f"{tick};{bot};{etype};{payload}")
     return lines
 
 

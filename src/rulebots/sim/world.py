@@ -124,22 +124,12 @@ class WorldState:
         self.map = mapdef
         self.config = config
         self.rng = SplitMix64(seed)
-        self.round_no = 0
-        self.bots: dict[int, BotState] = {}
-        self.hostages: dict[int, HostageState] = {}
-        self.tick = 0
-        self.outcome: RoundOutcome | None = None
-        self.events: list[tuple[int, int, int, str, str]] = []
-        self._seq = 0
-        self._fov_key: tuple[int, int] | None = None
-        self._fov_pairs: tuple[tuple[int, int], ...] = ()
-        self._enemy_pairs: tuple[tuple[int, int], ...] = ()
         n = config.team_size
-        for i in range(2 * n):
-            team = CT if i < n else T
-            self.bots[i] = BotState(id=i, team=team, node=0, facing_deg=0, money=config.start_money)
-        self._respawn()
-        self._event(WORLD, "round_start", f"round={self.round_no}")
+        self.bots: dict[int, BotState] = {
+            i: BotState(id=i, team=CT if i < n else T, node=0, facing_deg=0, money=config.start_money)
+            for i in range(2 * n)
+        }
+        self.reset_round(0)
 
     def _respawn(self) -> None:
         """Put every bot on its team's spawn, facing the first hostage point,
@@ -172,10 +162,10 @@ class WorldState:
         """Start a new round: respawn everyone, keep money and the RNG stream."""
         self.round_no = round_no
         self.tick = 0
-        self.outcome = None
-        self.events = []
+        self.outcome: RoundOutcome | None = None
+        self.events: list[tuple[int, int, int, str, str]] = []
         self._seq = 0
-        self._fov_key = None
+        self._fov_key: tuple[int, int] | None = None
         self._respawn()
         self._event(WORLD, "round_start", f"round={round_no}")
 

@@ -12,7 +12,6 @@ import support
 from rulebots.agents import TeamBlackboard, make_mind
 from rulebots.match import ControllerSpec, MatchConfig, run_match
 from rulebots.match.replay import render_body
-from rulebots.match.trace import diag_lines
 from rulebots.sim import MoveIntent, SimConfig, WorldState, parse_map
 
 SEEDS = (0, 1, 7, 13, 42)
@@ -36,21 +35,12 @@ def test_twenty_rounds_byte_identical():
         left = "\n".join(render_body(scripted))
         right = "\n".join(render_body(native))
         assert left == right, f"seed {seed} diverged"
-        # the equality must not be vacuous
+        # the equality must not be vacuous: every round has action lifecycle traffic
         assert left.count("\n") > 100
-        assert "started" in left
+        for round_result in scripted.rounds:
+            assert any(e[3] == "started" for e in round_result.events)
         assert [r.digest for r in scripted.rounds] == [r.digest for r in native.rounds]
         assert scripted.counts == native.counts
-
-
-def test_action_event_streams_match():
-    scripted = run_match(match_config("scripted", "scripted", 7))
-    native = run_match(match_config("native", "native", 7))
-    for s_round, n_round in zip(scripted.rounds, native.rounds):
-        s_diag = diag_lines(s_round.events)
-        n_diag = diag_lines(n_round.events)
-        assert s_diag == n_diag
-        assert s_diag  # every round contains lifecycle traffic
 
 
 def test_mixed_pairings_share_the_trace():

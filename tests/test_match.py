@@ -216,3 +216,15 @@ def test_cli_run_without_matches_is_runtime_error(matches, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: run needs at least one match\n"
+
+
+@pytest.mark.parametrize("packages", ["", ","])
+def test_cli_experiment_without_packages_is_runtime_error(packages, tmp_path, capsys):
+    # an empty stack would play the default one under a report that names none
+    out_dir = tmp_path / "exp"
+    assert cli_main(["experiment", "--rounds", "1", "--matches", "1",
+                     "--packages", packages, "--out", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: experiment needs at least one rule package for the scripted sides\n"
+    assert not out_dir.exists()

@@ -41,11 +41,13 @@ def test_tick_and_state_commands():
 def test_bad_input_reports_errors():
     long_run = "f(" + "1" * 5000 + ")."
     deep = "f(" * 1000 + "a" + ")" * 1000 + "."
-    text = run_session(["pred(", ":frobnicate", ":tick zap", "f(²).", long_run, deep,
+    text = run_session(["pred(", ":frobnicate", ":tick zap", ":tick -3", "f(²).", long_run, deep,
                         "game_phase(buy).", ":quit"])
     assert "error:" in text
     assert "unknown command" in text
-    assert "bad tick count" in text
+    assert "bad tick count: 'zap'" in text
+    assert "bad tick count: '-3'" in text
+    assert ", phase " not in text  # no `tick N, phase P` report: no tick was stepped
     assert "unexpected character" in text
     assert "integer literal out of 64-bit range" in text
     assert "true." in text.split("integer literal out of 64-bit range")[1]
