@@ -7,7 +7,6 @@ from rulebots.agents.actions import (
     register_action_natives,
     split_opts,
 )
-from rulebots.agents.blackboard import TeamBlackboard
 from rulebots.agents.minds import (
     REASON_PERIOD,
     ROUND_SCOPED_DYNAMICS,
@@ -24,7 +23,6 @@ __all__ = [
     "ActionExecutor",
     "register_action_natives",
     "split_opts",
-    "TeamBlackboard",
     "REASON_PERIOD",
     "ROUND_SCOPED_DYNAMICS",
     "Mind",

@@ -14,7 +14,6 @@ import weakref
 from rulebots.logic import Atom, Engine, Int, KnowledgeBase, Struct, Term
 from rulebots.sim import CT, IdleIntent, RIFLE, WorldState
 from rulebots.agents.actions import ACTION_NATIVES, Action, ActionExecutor, register_action_natives
-from rulebots.agents.blackboard import TeamBlackboard
 from rulebots.agents.perception import PERCEPTION_NATIVES, register_perception
 
 REASON_PERIOD = 5  # ticks between re-reasoning while an action runs
@@ -99,7 +98,7 @@ class GoalProver:
 class Mind:
     kind = "abstract"
 
-    def __init__(self, world: WorldState, bot_id: int, board: TeamBlackboard):
+    def __init__(self, world: WorldState, bot_id: int, board: list):
         self.world = world
         self.bot_id = bot_id
         self.executor = ActionExecutor(world, bot_id)

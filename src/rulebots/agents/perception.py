@@ -24,6 +24,7 @@ from rulebots.logic import (
     Var,
     collect_vars,
     term_str,
+    unify_terms,
 )
 from rulebots.sim import WorldState
 
@@ -31,7 +32,7 @@ from rulebots.sim import WorldState
 class Native(NamedTuple):
     """A native's declaration.  `nondet` lets it answer more than once.  A
     writer changes the game (it launches an action or writes the team
-    blackboard); a reader only looks, so asking it again is harmless."""
+    board); a reader only looks, so asking it again is harmless."""
 
     handler: object
     nondet: bool = False
@@ -118,24 +119,26 @@ def path_cost(world, board, a, b, c):
 def team_assert(world, board, fact):
     if collect_vars(fact):
         raise InstantiationError("team_assert/1 needs a ground fact")
-    board.assert_fact(fact)
+    board.append(fact)
     return [None]
 
 
 def team_retract(world, board, pattern):
-    removed = board.retract_match(pattern)
-    if removed is None:
-        return None
-    return [(removed,)]
+    """Remove and answer the first fact the pattern unifies with."""
+    for i, fact in enumerate(board):
+        if unify_terms(pattern, fact) is not None:
+            return [(board.pop(i),)]
+    return None
 
 
 def team_fact(world, board, pattern):
-    return [(f,) for f in board.snapshot()]
+    return [(f,) for f in board]
 
 
 # Every perception native: (name, arity) -> Native.  A handler takes the
-# world and the team blackboard before its rule arguments.  The two that
-# change the blackboard are writers; every other native only reads.
+# world and the team board (a list of facts, in assertion order) before its
+# rule arguments.  The two that change the board are writers; every other
+# native only reads.
 PERCEPTION_NATIVES = {
     ("bot_in_fov", 2): Native(_view(lambda w: w.fov_pairs(), BOT, BOT), nondet=True),
     ("visible_enemy", 2): Native(_view(lambda w: w.enemy_pairs(), BOT, BOT), nondet=True),

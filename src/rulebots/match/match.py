@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from rulebots.agents import TeamBlackboard, make_mind
+from rulebots.agents import make_mind
 from rulebots.match.config import ControllerSpec, MatchConfig
 from rulebots.match.round import RoundResult, run_round
 from rulebots.rules import load_stack
@@ -34,12 +34,12 @@ def _resolve_stack(spec: ControllerSpec):
 
 
 def build_match(config: MatchConfig):
-    """World, blackboards and minds for one match, packages validated."""
+    """World, team boards and minds for one match, packages validated."""
     mapdef = load_map(config.map_name)
     stacks = {CT: _resolve_stack(config.ct), T: _resolve_stack(config.t)}
     kinds = {CT: config.ct.kind, T: config.t.kind}
     world = WorldState(mapdef, SimConfig(), config.seed)
-    boards = {CT: TeamBlackboard(), T: TeamBlackboard()}
+    boards = {CT: [], T: []}
     minds = {
         bot.id: make_mind(kinds[bot.team], world, bot.id, boards[bot.team], stacks[bot.team])
         for bot in world.bots.values()

@@ -99,6 +99,3 @@ min_cost_acc([X|Xs], Cur, Best) :-
 
 cost_of(c(C, _), C).
 cost_of(c(C, _, _), C).
-
-member_(X, [X|_]).
-member_(X, [_|Xs]) :- member_(X, Xs).

@@ -1,9 +1,5 @@
-% Doctrine shared by every hostage-rescue map: name the current
-% objective and package the standard fetch manoeuvre so map layers can
-% reuse it as a continuation.
+% Doctrine shared by every hostage-rescue map: the standard fetch route
+% (go to the hostage's waypoint while no enemy is in sight, then lead the
+% hostage out), named so map layers can reuse it as a continuation.
 
-objective_waypoint(B, W) :- pick_hostage(B, W).
-
-approach_and_liberate(B, W) :-
-    action_goto(B, W,
-        (no_visible_enemy(B), andThen(action_liberate_hostages(B, no_visible_enemy(B))))).
+approach_and_liberate(B, W) :- direct_approach(B, W).

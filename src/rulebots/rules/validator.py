@@ -1,53 +1,76 @@
 """Static checks over a rule package stack.
 
 Catches the mistakes that otherwise surface mid-match: calls to
-predicates nobody defines, calls at the wrong arity, and asserts to
-predicates never declared dynamic.  The first two are errors, the last
-is a warning because asserting before calling still works.
+predicates nobody defines, calls at the wrong arity, clauses and dynamic
+declarations a mind's store refuses, and asserts to predicates never
+declared dynamic.  All but the last are errors; the last is a warning
+because asserting before calling still works.
 """
 
 from __future__ import annotations
 
-from rulebots.logic.terms import Struct, Term, functor_key
-from rulebots.logic.database import BUILTINS, compile_program
-from rulebots.agents.actions import ACTION_NATIVES
+from rulebots.logic.terms import Term, functor_key
+from rulebots.logic.database import BUILTINS, KnowledgeBase, compile_program
+from rulebots.logic.errors import NotPermittedError
+from rulebots.logic.reader import split_clause
+from rulebots.agents.actions import ACTION_NATIVES, LAUNCHERS, register_action_natives
 from rulebots.agents.minds import RUNTIME_PRELUDE
-from rulebots.agents.perception import PERCEPTION_NATIVES
-from rulebots.rules.manifest import LEVELS, PackageError, RulePackage
+from rulebots.agents.perception import PERCEPTION_NATIVES, register_perception
+from rulebots.rules.manifest import LEVELS, RulePackage
 
 # What every mind defines before any package: its natives and the prelude.
 NATIVE_SIGNATURES = frozenset(
     [*ACTION_NATIVES, *PERCEPTION_NATIVES, *(t.key for t in compile_program(RUNTIME_PRELUDE))]
 )
 
-_CONTROL_BOTH = {(",", 2), (";", 2), ("->", 2)}
-_CONTROL_ONE = {("\\+", 1), ("call", 1)}
+# A mind's store before any package, its natives bound to nothing, so the
+# store's own `check_writable` refuses what a mind would.
+_MIND_STORE = KnowledgeBase()
+register_perception(_MIND_STORE, None, None)
+register_action_natives(_MIND_STORE, None)
+
+
+def _run(*positions):
+    return lambda args: [args[i] for i in positions]
+
+
+def _options(args):
+    """The goals of a launcher's options, its last argument: M, andThen(C) or (M, andThen(C))."""
+    opts = args[-1]
+    if functor_key(opts) == ("andThen", 1):
+        return opts.args
+    if functor_key(opts) == (",", 2) and functor_key(opts.args[1]) == ("andThen", 1):
+        return opts.args[0], opts.args[1].args[0]
+    return (opts,)
+
+
+# Each construct that runs some of its arguments as goals, to those
+# arguments: every control construct but `!`, the prelude's `and/2`, and
+# each action launcher at the arity that takes options.
+GOAL_ARGS = {
+    (",", 2): _run(0, 1), (";", 2): _run(0, 1), ("->", 2): _run(0, 1),
+    ("\\+", 1): _run(0), ("call", 1): _run(0), ("findall", 3): _run(1),
+    ("and", 2): _run(0, 1),
+    **{(f"action_{kind}", 2 + len(checks)): _options for kind, (checks, opts) in LAUNCHERS.items() if opts},
+}
 _CLAUSE_REFS = {("assert", 1), ("asserta", 1), ("assertz", 1), ("retract", 1)}
 
 
-def _walk_body(body: Term, called: set, asserted: set) -> None:
-    key = functor_key(body)
-    if key in _CONTROL_BOTH:
-        _walk_body(body.args[0], called, asserted)
-        _walk_body(body.args[1], called, asserted)
-        return
-    if key in _CONTROL_ONE:
-        _walk_body(body.args[0], called, asserted)
-        return
-    if key == ("findall", 3):
-        _walk_body(body.args[1], called, asserted)
-        return
-    if key in _CLAUSE_REFS:
-        clause = body.args[0]
-        head = clause
-        if isinstance(clause, Struct) and clause.name == ":-" and len(clause.args) == 2:
-            head = clause.args[0]
-        head_key = functor_key(head)
-        if head_key is not None:
-            asserted.add(head_key)
-        return
-    if key is not None:
-        called.add(key)
+def _walk(bodies: list[Term], called: set, asserted: set) -> None:
+    """Add the keys the bodies call, and the heads they assert or retract."""
+    stack = list(bodies)
+    while stack:
+        goal = stack.pop()
+        key = functor_key(goal)
+        goals_of = GOAL_ARGS.get(key)
+        if goals_of is not None:
+            stack.extend(goals_of(goal.args))
+        elif key in _CLAUSE_REFS:
+            head_key = functor_key(split_clause(goal.args[0])[0])
+            if head_key is not None:
+                asserted.add(head_key)
+        elif key is not None:
+            called.add(key)
 
 
 def validate_stack(packages: list[RulePackage]) -> tuple[list[str], list[str]]:
@@ -78,6 +101,13 @@ def validate_stack(packages: list[RulePackage]) -> tuple[list[str], list[str]]:
         parsed[pkg.name] = clauses
         for clause in clauses:
             defined.setdefault(clause.key, pkg.name)
+        try:
+            for key in pkg.dynamics:
+                _MIND_STORE.check_writable(key, "declare dynamic")
+            for clause in clauses:
+                _MIND_STORE.check_writable(clause.key, "define")
+        except NotPermittedError as exc:
+            errors.append(f"package {pkg.name}: {exc}")
 
     for pkg in packages:
         for entry in pkg.entries:
@@ -94,8 +124,7 @@ def validate_stack(packages: list[RulePackage]) -> tuple[list[str], list[str]]:
     for pkg in packages:
         called: set = set()
         asserted: set = set()
-        for clause in parsed.get(pkg.name, ()):
-            _walk_body(clause.source_body, called, asserted)
+        _walk([clause.source_body for clause in parsed.get(pkg.name, ())], called, asserted)
         for key in sorted(called):
             if key in known:
                 continue

@@ -9,7 +9,7 @@ zero tolerance.
 import pytest
 
 import support
-from rulebots.agents import TeamBlackboard, make_mind
+from rulebots.agents import make_mind
 from rulebots.match import ControllerSpec, MatchConfig, run_match
 from rulebots.match.replay import render_body
 from rulebots.sim import MoveIntent, SimConfig, WorldState, parse_map
@@ -95,7 +95,7 @@ def test_ties_break_on_the_lower_id(baseline_stack, bot_id, setup, launched):
         world.bots[1 - bot_id].alive = False
         if setup is not None:
             setup(world)
-        mind = make_mind(kind, world, bot_id, TeamBlackboard(), baseline_stack)
+        mind = make_mind(kind, world, bot_id, [], baseline_stack)
         mind.on_round_start()
         mind.tick_agent()
         starts[kind] = [p for _t, _b, _s, etype, p in world.events if etype == "started"]

@@ -33,7 +33,7 @@ GOLDEN = {
 }
 
 # sha256 of "head :- body" per clause, over the prelude and the bundled packages.
-GOLDEN_PARSE = "6fcf8ca058431e57eca9d057ab24c7c81feac358cbf1adb3cf03d37a9e1ead7b"
+GOLDEN_PARSE = "97c36b8ce49a47b5ccce32ca3317adf8c1685c251e93fe9a658981f3cd528d62"
 BUNDLED_PACKAGES = ("baseline", "cs_rules", "warehouse_tactics")
 
 
@@ -66,5 +66,5 @@ def test_bundled_programs_parse_to_pinned_clauses():
     texts = [RUNTIME_PRELUDE, *(load_package(name).text for name in BUNDLED_PACKAGES)]
     clauses = [clause for text in texts for clause in read_program(text)]
     lines = "".join(f"{term_str(head)} :- {term_str(body)}\n" for head, body in clauses)
-    assert len(clauses) == 63
+    assert len(clauses) == 60
     assert hashlib.sha256(lines.encode()).hexdigest() == GOLDEN_PARSE

@@ -3,23 +3,23 @@
 import pytest
 
 import support
-from rulebots.agents import REASON_PERIOD, TeamBlackboard, make_mind
+from rulebots.agents import REASON_PERIOD, make_mind
 from rulebots.agents.actions import ACTION_NATIVE_SIGNATURES
 from rulebots.agents.perception import PERCEPTION_NATIVE_SIGNATURES
 from rulebots.sim import IdleIntent
 
 
 def scripted_mind(world, bot_id, baseline_stack):
-    return make_mind("scripted", world, bot_id, TeamBlackboard(), baseline_stack)
+    return make_mind("scripted", world, bot_id, [], baseline_stack)
 
 
 def test_make_mind_validates(baseline_stack):
     w = support.line_world()
     with pytest.raises(ValueError, match="rule stack"):
-        make_mind("scripted", w, 0, TeamBlackboard())
+        make_mind("scripted", w, 0, [])
     with pytest.raises(ValueError, match="unknown mind kind"):
-        make_mind("psychic", w, 0, TeamBlackboard())
-    assert make_mind("native", w, 0, TeamBlackboard()).kind == "native"
+        make_mind("psychic", w, 0, [])
+    assert make_mind("native", w, 0, []).kind == "native"
 
 
 def test_reasoning_cadence(baseline_stack):

@@ -4,11 +4,12 @@ import pytest
 
 import support
 from rulebots.logic import reader
-from rulebots.match import ControllerSpec, MatchConfig
+from rulebots.logic.database import BUILTINS
+from rulebots.match import ControllerSpec, MatchConfig, cli
 from rulebots.match.match import build_match
 from rulebots.rules import PackageError, load_package, load_stack, parse_manifest
 from rulebots.rules.manifest import RulePackage
-from rulebots.rules.validator import NATIVE_SIGNATURES, validate_stack
+from rulebots.rules.validator import GOAL_ARGS, NATIVE_SIGNATURES, validate_stack
 
 
 def pkg(name, level, text, entries=(), dynamics=()):
@@ -191,6 +192,54 @@ def test_validate_unparseable_package():
     broken = pkg("addon", "map_type", "pick(X :- .\n", entries=[("pick", 1)])
     errors, _ = validate_stack([GAME, broken])
     assert any(e.startswith("package addon: ") for e in errors)
+
+
+# Packages a match refuses, each stacked on `baseline`: its rules, its
+# dynamic declarations and the one error `validate` prints.  A refused
+# clause or declaration gets the message of a mind's store, as `run`
+# prints it; a call nobody defines names the predicate `run` reports as
+# unknown.
+REFUSED = {
+    "a fact for a native": ("team(_, ct).\n", (), "cannot define native predicate team/2"),
+    "a rule for a native": ("idle(_) :- true.\n", (), "cannot define native predicate idle/1"),
+    "a fact for a builtin": ("write(_).\n", (), "cannot define reserved predicate write/1"),
+    "a native declared dynamic": (
+        "% nothing\n", ("team/2",), "cannot declare dynamic native predicate team/2"
+    ),
+    "a misspelled motivation": (
+        "reasoning_hook(B) :- action_guard(B, 0, no_visibel_enemy(B)).\n", (),
+        "call to undefined no_visibel_enemy/1",
+    ),
+    "a misspelled continuation": (
+        "reasoning_hook(B) :- action_goto(B, 0, andThen(approch(B))).\n", (),
+        "call to undefined approch/1",
+    ),
+    "a misspelled continuation after a motivation": (
+        "reasoning_hook(B) :- action_goto(B, 0, (no_visible_enemy(B), andThen(approch(B)))).\n",
+        (), "call to undefined approch/1",
+    ),
+    "a misspelled goal inside and/2": (
+        "reasoning_hook(B) :- action_kill(B, 1, and(bot_alive(1), bot_in_fvo(B, 1))).\n", (),
+        "call to undefined bot_in_fvo/2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_validate_refuses_what_a_match_refuses(tmp_path, capsys, case):
+    rules, dynamics, error = REFUSED[case]
+    (tmp_path / "bad.pl").write_text(rules)
+    (tmp_path / "bad.mf").write_text(
+        "package bad\nlevel map_type\nfile bad.pl\n" + "".join(f"dynamic {d}\n" for d in dynamics)
+    )
+    assert cli.main(["validate", "baseline", str(tmp_path / "bad.mf")]) == cli.INVALID
+    assert capsys.readouterr().out == f"error: package bad: {error}\n"
+
+
+def test_every_control_construct_has_a_goal_row():
+    # a control construct is a builtin whose entry is an opcode, not a test
+    controls = {key for key, op in BUILTINS.items() if type(op) is int} - {("!", 0)}
+    assert controls and controls <= GOAL_ARGS.keys()
 
 
 def test_shipped_stack_validates_clean():

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 
 import support
-from rulebots.agents import TeamBlackboard, register_perception
+from rulebots.agents import register_perception
 from rulebots.logic import Engine, InstantiationError, KnowledgeBase, TermTypeError, term_str
 from rulebots.match import MatchConfig
 from rulebots.match.match import build_match
@@ -14,7 +14,7 @@ from rulebots.match.round import play_tick, start_round
 
 def percept(world):
     kb = KnowledgeBase()
-    board = TeamBlackboard()
+    board = []
     register_perception(kb, world, board)
     return Engine(kb, output=lambda s: None), board
 

@@ -3,7 +3,7 @@ while a full proof would give the same result and have no effect."""
 
 import pytest
 
-from rulebots.agents import TeamBlackboard, make_mind
+from rulebots.agents import make_mind
 from rulebots.agents.actions import ACTION_NATIVES
 from rulebots.agents.minds import EFFECTS, GoalProver
 from rulebots.agents.perception import PERCEPTION_NATIVES
@@ -139,7 +139,7 @@ def shadow_every_reuse(monkeypatch, owners: dict) -> list:
 
     def state(prover):
         mind, board = owners[id(prover)]
-        return prover.engine.kb.generation, mind.executor.active, len(mind.world.events), board.snapshot()
+        return prover.engine.kb.generation, mind.executor.active, len(mind.world.events), list(board)
 
     def unchanged_and_shadowed(prover):
         before = state(prover)
@@ -198,7 +198,7 @@ class Signals:
 
 def test_a_reused_proof_matches_a_full_proof_while_a_host_edits_the_store(monkeypatch):
     world = WorldState(load_map("warehouse"), SimConfig(), 1)
-    boards = {team: TeamBlackboard() for team in ("ct", "t")}
+    boards = {team: [] for team in ("ct", "t")}
     stack = [*load_stack(("baseline",)), CHATTER]
     minds = {b.id: make_mind("scripted", world, b.id, boards[b.team], stack) for b in world.bots.values()}
     shadowed = shadow_every_reuse(monkeypatch, owners_of(world, boards, minds))

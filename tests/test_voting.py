@@ -1,12 +1,12 @@
 """Squad tactic voting: ballots, plurality, tie-break, convergence."""
 
-from rulebots.agents import TeamBlackboard, make_mind
+from rulebots.agents import make_mind
 from rulebots.sim import CT, T, SimConfig, WorldState, load_map
 
 
 def voting_squad(seed, full_stack):
     world = WorldState(load_map("warehouse"), SimConfig(team_size=5), seed)
-    boards = {CT: TeamBlackboard(), T: TeamBlackboard()}
+    boards = {CT: [], T: []}
     minds = {
         bot.id: make_mind("scripted", world, bot.id, boards[bot.team], full_stack)
         for bot in world.bots.values()
