@@ -9,7 +9,7 @@ because asserting before calling still works.
 
 from __future__ import annotations
 
-from rulebots.logic.terms import Term, functor_key
+from rulebots.logic.terms import functor_key
 from rulebots.logic.database import BUILTINS, KnowledgeBase, compile_program
 from rulebots.logic.errors import NotPermittedError
 from rulebots.logic.reader import split_clause
@@ -56,9 +56,9 @@ GOAL_ARGS = {
 _CLAUSE_REFS = {("assert", 1), ("asserta", 1), ("assertz", 1), ("retract", 1)}
 
 
-def _walk(bodies: list[Term], called: set, asserted: set) -> None:
-    """Add the keys the bodies call, and the heads they assert or retract."""
-    stack = list(bodies)
+def _walk(clauses, called: set, asserted: set) -> None:
+    """Add the keys the clauses' bodies call, and the heads they assert or retract."""
+    stack = [clause.source_body for clause in clauses]
     while stack:
         goal = stack.pop()
         key = functor_key(goal)
@@ -124,7 +124,7 @@ def validate_stack(packages: list[RulePackage]) -> tuple[list[str], list[str]]:
     for pkg in packages:
         called: set = set()
         asserted: set = set()
-        _walk([clause.source_body for clause in parsed.get(pkg.name, ())], called, asserted)
+        _walk(parsed.get(pkg.name, ()), called, asserted)
         for key in sorted(called):
             if key in known:
                 continue
