@@ -8,10 +8,13 @@ later layers refine earlier ones only through declared hook predicates.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
+from importlib import resources
 
 LEVELS = ("game", "map_type", "map_specific")
+_ASSETS = resources.files("rulebots") / "rules" / "assets"
 
 
 class PackageError(Exception):
@@ -93,15 +96,21 @@ def load_package(spec: str) -> RulePackage:
 
         return parse_manifest(text, read_rel)
 
-    from importlib import resources
-
-    assets = resources.files("rulebots") / "rules" / "assets"
-    candidate = assets / f"{spec}.mf"
     try:
-        text = candidate.read_text(encoding="utf-8")
+        text = (_ASSETS / f"{spec}.mf").read_text(encoding="utf-8")
     except (FileNotFoundError, OSError):
         raise PackageError(f"no such package: {spec!r}") from None
-    return parse_manifest(text, lambda rel: (assets / rel).read_text(encoding="utf-8"))
+    return parse_manifest(text, lambda rel: (_ASSETS / rel).read_text(encoding="utf-8"))
+
+
+# Both sides of a match, and every match of an experiment, validate the
+# same packages; the bound only keeps a host that loads many one-off
+# stacks from growing the cache without limit.
+@functools.lru_cache(maxsize=8)
+def _stack_errors(packages: tuple[RulePackage, ...]) -> tuple[str, ...]:
+    from rulebots.rules.validator import validate_stack
+
+    return tuple(validate_stack(packages)[0])
 
 
 def load_stack(specs) -> list[RulePackage]:
@@ -109,12 +118,11 @@ def load_stack(specs) -> list[RulePackage]:
 
     The stack must start with exactly one game-level package and stay in
     non-decreasing level order.  Validation errors raise; warnings are
-    dropped here (the validate command surfaces them).
+    dropped here (the validate command surfaces them).  Every file is read
+    on each call; each distinct stack is validated once per process.
     """
-    from rulebots.rules.validator import validate_stack
-
     packages = [load_package(s) for s in specs]
-    errors, _ = validate_stack(packages)
+    errors = _stack_errors(tuple(packages))
     if errors:
         raise PackageError("; ".join(errors))
     return packages

@@ -9,6 +9,8 @@ because asserting before calling still works.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from rulebots.logic.terms import functor_key
 from rulebots.logic.database import BUILTINS, KnowledgeBase, compile_program
 from rulebots.logic.errors import NotPermittedError
@@ -87,18 +89,21 @@ def validate_stack(packages: list[RulePackage]) -> tuple[list[str], list[str]]:
     ranks = [LEVELS.index(p.level) for p in packages]
     if ranks != sorted(ranks):
         errors.append("package levels must be ordered game, map_type, map_specific")
+    counts = Counter(p.name for p in packages)
+    errors.extend(f"package {name} is listed more than once" for name, n in counts.items() if n > 1)
 
     defined: dict[tuple[str, int], str] = {}
     dynamics: set = set()
-    parsed: dict[str, tuple] = {}
+    parsed: list[tuple] = []  # each package's clauses, () if it does not parse
     for pkg in packages:
         dynamics.update(pkg.dynamics)
         try:
             clauses = compile_program(pkg.text)
         except Exception as exc:
             errors.append(f"package {pkg.name}: {exc}")
+            parsed.append(())
             continue
-        parsed[pkg.name] = clauses
+        parsed.append(clauses)
         for clause in clauses:
             defined.setdefault(clause.key, pkg.name)
         try:
@@ -121,10 +126,10 @@ def validate_stack(packages: list[RulePackage]) -> tuple[list[str], list[str]]:
     known = set(defined) | dynamics | BUILTINS.keys() | NATIVE_SIGNATURES
     names_known = {name for name, _ in known}
 
-    for pkg in packages:
+    for pkg, clauses in zip(packages, parsed):
         called: set = set()
         asserted: set = set()
-        _walk(parsed.get(pkg.name, ()), called, asserted)
+        _walk(clauses, called, asserted)
         for key in sorted(called):
             if key in known:
                 continue

@@ -9,8 +9,11 @@ derived from wall segments with an exact integer intersection test.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, field
+from importlib import resources
 
 from rulebots.sim.geometry import segments_intersect
 from rulebots.sim.pathfind import dijkstra_from
@@ -34,7 +37,10 @@ class Waypoint:
     tags: tuple[str, ...]
 
 
-@dataclass
+# One instance is shared by every match of a map in a process (see
+# `load_map`), so no field may be reassigned; `_dist_cache` is a pure
+# function of `adj`, so filling it changes no other match's answer.
+@dataclass(frozen=True)
 class MapDefinition:
     name: str
     waypoints: dict[int, Waypoint]
@@ -221,20 +227,29 @@ def parse_map(text: str, name_hint: str = "") -> MapDefinition:
     )
 
 
-def load_map(spec: str) -> MapDefinition:
-    """Load a map from a file path or a bundled map name."""
-    import os
+_BUNDLED = resources.files("rulebots") / "maps"
 
+
+# Every match of a map shares one parse; the bound only keeps a host that
+# loads many one-off map files from growing the cache without limit.
+@functools.lru_cache(maxsize=8)
+def _parse_shared(text: str, name_hint: str) -> MapDefinition:
+    return parse_map(text, name_hint)
+
+
+def load_map(spec: str) -> MapDefinition:
+    """Load a map from a file path or a bundled map name.
+
+    The file is read on every call; each distinct text and name is parsed
+    once per process, so an edited file is parsed again.
+    """
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
         hint = os.path.splitext(os.path.basename(spec))[0]
-        return parse_map(text, hint)
-    from importlib import resources
-
-    candidate = resources.files("rulebots") / "maps" / f"{spec}.map"
+        return _parse_shared(text, hint)
     try:
-        text = candidate.read_text(encoding="utf-8")
+        text = (_BUNDLED / f"{spec}.map").read_text(encoding="utf-8")
     except (FileNotFoundError, OSError):
         raise MapError(f"no such map file or bundled map: {spec!r}") from None
-    return parse_map(text, spec)
+    return _parse_shared(text, spec)

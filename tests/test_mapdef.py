@@ -1,5 +1,7 @@
 """Map parsing, validation and visibility derivation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,3 +160,19 @@ def test_warehouse_door_geometry(warehouse):
 def test_load_map_unknown_name():
     with pytest.raises(MapError):
         load_map("atlantis")
+
+
+def test_load_map_reads_an_edited_file_again(tmp_path):
+    path = tmp_path / "line.map"
+    path.write_text(support.LINE_MAP)
+    before = load_map(str(path))
+    assert load_map(str(path)) is before
+    path.write_text(support.LINE_MAP.replace("waypoint 1 4 0 -", "waypoint 1 4.25 0 -"))
+    after = load_map(str(path))
+    assert (before.waypoints[1].x, after.waypoints[1].x) == (400, 425)
+    assert after.source_hash != before.source_hash
+
+
+def test_a_shared_map_refuses_reassignment():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        load_map("warehouse").name = "depot"

@@ -1,5 +1,6 @@
 """Match driver, trace files, replay verification, CLI exit codes."""
 
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,20 @@ def test_replay_flags_map_hash_mismatch(tmp_path):
     verdict = replay(path)
     assert not verdict.clean
     assert "map" in verdict.message
+
+
+def test_replay_sees_a_map_file_edited_after_recording(tmp_path):
+    # the map cache is keyed by content, so a rewritten file is parsed again
+    map_path = tmp_path / "depot.map"
+    map_path.write_text((resources.files("rulebots") / "maps" / "warehouse.map").read_text())
+    config = MatchConfig(map_name=str(map_path), seed=5, rounds=1, ct=NATIVE, t=NATIVE)
+    trace = tmp_path / "match.trace"
+    write_trace(trace, run_match(config))
+    assert replay(trace).clean
+    map_path.write_text(map_path.read_text() + "# edited\n")
+    verdict = replay(trace)
+    assert not verdict.clean
+    assert verdict.message.startswith(f"map {str(map_path)!r} content changed")
 
 
 # -- command line -------------------------------------------------------

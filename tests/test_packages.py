@@ -10,6 +10,7 @@ from rulebots.match.match import build_match
 from rulebots.rules import PackageError, load_package, load_stack, parse_manifest
 from rulebots.rules.manifest import RulePackage
 from rulebots.rules.validator import GOAL_ARGS, NATIVE_SIGNATURES, validate_stack
+from rulebots.sim.mapdef import parse_map
 
 
 def pkg(name, level, text, entries=(), dynamics=()):
@@ -236,6 +237,37 @@ def test_validate_refuses_what_a_match_refuses(tmp_path, capsys, case):
     assert capsys.readouterr().out == f"error: package bad: {error}\n"
 
 
+# Stacks that name one package twice, as `validate` arguments (`{dir}` is
+# a scratch directory holding `copy.mf`, a package record that repeats the
+# bundled `cs_rules`), and the one error `validate` prints.
+REPEATED = {
+    "a map_type package twice": (
+        ("baseline", "cs_rules", "cs_rules"), "package cs_rules is listed more than once",
+    ),
+    "a map_specific package twice": (
+        ("baseline", "cs_rules", "warehouse_tactics", "warehouse_tactics"),
+        "package warehouse_tactics is listed more than once",
+    ),
+    "a path repeating a bundled name": (
+        ("baseline", "cs_rules", "{dir}/copy.mf"), "package cs_rules is listed more than once",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED))
+def test_validate_refuses_a_repeated_package(tmp_path, capsys, case):
+    stack, error = REPEATED[case]
+    (tmp_path / "copy.pl").write_text("% nothing\n")
+    (tmp_path / "copy.mf").write_text("package cs_rules\nlevel map_specific\nfile copy.pl\n")
+    args = [spec.format(dir=tmp_path) for spec in stack]
+    assert cli.main(["validate", *args]) == cli.INVALID
+    assert capsys.readouterr().out == f"error: {error}\n"
+    # a match on the stack stops at the same error, before any mind consults it
+    run = ["run", "--ct", "scripted:" + ",".join(args), "--rounds", "1", "--matches", "1"]
+    assert cli.main(run) == cli.INVALID
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_every_control_construct_has_a_goal_row():
     # a control construct is a builtin whose entry is an opcode, not a test
     controls = {key for key, op in BUILTINS.items() if type(op) is int} - {("!", 0)}
@@ -250,17 +282,57 @@ def test_shipped_stack_validates_clean():
 
 
 def test_rebuilding_a_full_stack_match_parses_nothing(monkeypatch):
-    # the validator and every mind's consult share one parse per text
+    # the validator and every mind's consult share one parse per text, and
+    # both sides and every build share one map parse and one validation
     full = ControllerSpec("scripted", ("baseline", "cs_rules", "warehouse_tactics"))
     config = MatchConfig(map_name="warehouse", seed=0, rounds=1, ct=full, t=full)
-    build_match(config)
-    parsed = []
-    original = reader.read_program
+    first, _, _ = build_match(config)
+    calls = []
+    for original in (reader.read_program, parse_map, validate_stack):
+        def counting(*args, original=original):
+            calls.append(original.__name__)
+            return original(*args)
 
-    def counting(text):
-        parsed.append(text)
-        return original(text)
+        support.patch_everywhere(monkeypatch, original, counting)
+    second, _, _ = build_match(config)
+    assert calls == []
+    assert second.map is first.map
 
-    support.patch_everywhere(monkeypatch, original, counting)
-    build_match(config)
-    assert parsed == []
+
+# -- validation once per distinct stack ------------------------------------
+
+
+def test_an_edited_package_is_validated_again(tmp_path):
+    mf, pl = tmp_path / "addon.mf", tmp_path / "addon.pl"
+    stack = ["baseline", str(mf)]
+    states = [
+        ("", "reasoning_hook(B) :- bot_alive(B).\n", None),
+        ("", "reasoning_hook(B) :- ghost(B).\n", "undefined ghost/1"),
+        ("dynamic team/2\n", "reasoning_hook(B) :- bot_alive(B).\n", "dynamic native predicate team/2"),
+        ("", "reasoning_hook(B) :- bot_alive(B).\n", None),
+    ]
+    for manifest_extra, rules, error in states:
+        mf.write_text("package addon\nlevel map_type\nfile addon.pl\n" + manifest_extra)
+        pl.write_text(rules)
+        if error is None:
+            assert [p.text for p in load_stack(stack)][1] == rules
+        else:
+            with pytest.raises(PackageError, match=error):
+                load_stack(stack)
+
+
+def test_a_refused_stack_raises_the_same_error_on_every_call():
+    messages = []
+    for _ in range(3):
+        with pytest.raises(PackageError) as info:
+            load_stack(["baseline", "warehouse_tactics", "cs_rules"])
+        messages.append(str(info.value))
+    assert "ordered" in messages[0]
+    assert messages == [messages[0]] * 3
+
+
+def test_each_call_returns_its_own_stack():
+    names = ["baseline", "cs_rules", "warehouse_tactics"]
+    first = load_stack(names)
+    first.append(GAME)
+    assert [p.name for p in load_stack(names)] == names
