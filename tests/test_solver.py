@@ -1,6 +1,7 @@
 """Resolution behavior: search order, cut, dynamics, natives, budgets."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -448,3 +449,104 @@ def test_shared_text_still_checks_each_engines_natives():
     for _ in range(2):
         with pytest.raises(NotPermittedError):
             engine().consult("call(X) :- X.")
+
+
+# -- how a call is dispatched -----------------------------------------------
+
+
+def test_native_over_a_fully_retracted_predicate_answers_the_call():
+    e = engine("tag(1). tag(2). asks(X) :- tag(X).")
+    e.run("retract(tag(_)), retract(tag(_))")
+    e.kb.register_native("tag", 1, lambda x: [(Int(7),)])
+    assert values(e.run("tag(X)"), "X") == [Int(7)]
+    assert values(e.run("asks(X)"), "X") == [Int(7)]
+    assert values(e.run("call(tag(X))"), "X") == [Int(7)]
+
+
+def _steps(e: Engine, query: str) -> int:
+    """The fewest steps that enumerate every solution of `query`."""
+    lo, hi = 1, 1000
+    while lo < hi:
+        e.max_steps = mid = (lo + hi) // 2
+        try:
+            e.run(query)
+            hi = mid
+        except BudgetExceededError:
+            lo = mid + 1
+    return lo
+
+
+# Builtin bodies over t/2's arguments: tests, unification, arithmetic and
+# each control construct, in solutions and in failure.
+BUILTIN_BODIES = [
+    "X is 2 * 3 + 1, Y = X",
+    "X = f(Y), Y = 1",
+    "X = 1, Y = 2, X < Y",
+    "X = 3, Y = 2, X =< Y",
+    "X == Y",
+    "X = a, X \\== Y",
+    "X \\= a, Y = b",
+    "(X = 1 ; X = 2), Y is X * 10",
+    "(X = 1 ; X = 2), !, Y = X",
+    "(X = 1 -> Y = yes ; Y = no)",
+    "(fail -> Y = yes ; Y = no), X = Y",
+    "\\+ X = a, Y = free",
+    "findall(Z, (Z = 1 ; Z = 2), X), Y = done",
+    "var(X), atom(a), number(3), nonvar(f(Y)), Y = 0",
+    "true, X = Y",
+    "fail",
+]
+
+
+def _answers(e: Engine) -> list[str]:
+    """t/2's answers as text, unbound variables numbered by first appearance."""
+    texts = []
+    for s in e.run("t(X, Y)"):
+        ids: dict[str, str] = {}
+        text = term_str(Struct("t", (s["X"], s["Y"])))
+        texts.append(re.sub(r"_G\d+", lambda m: ids.setdefault(m.group(), f"_V{len(ids)}"), text))
+    return texts
+
+
+@pytest.mark.parametrize("body", BUILTIN_BODIES)
+def test_a_builtin_acts_alike_compiled_called_and_asserted(body):
+    compiled = engine(f"t(X, Y) :- {body}.")
+    called = engine(f"t(X, Y) :- call(({body})).")
+    asserted = engine()
+    asserted.run(f"assertz((t(X, Y) :- {body}))")
+    assert _answers(called) == _answers(asserted) == _answers(compiled)
+    steps = _steps(compiled, "t(X, Y)")
+    assert _steps(asserted, "t(X, Y)") == steps
+    assert _steps(called, "t(X, Y)") == steps + 1  # the call/1 goal is one more step
+
+
+@pytest.mark.parametrize(
+    "program,query",
+    [
+        ("", "nothing_here(1)"),
+        ("p(X) :- nothing_here(X).", "p(1)"),
+        ("p(X) :- X = 1, nothing_here(X).", "p(_)"),
+        ("", "call(nothing_here(1))"),
+        ("p(G) :- G.", "p(nothing_here(1))"),
+        ("", "assertz((p(X) :- nothing_here(X)))"),
+        ("", "findall(X, nothing_here(X), _)"),
+    ],
+)
+def test_an_unknown_predicate_raises_existence_error(program, query):
+    e = engine(program)
+    if query.startswith("assertz"):  # the asserted clause is called by a later query
+        e.run(query)
+        query = "p(1)"
+    with pytest.raises(ExistenceError, match="nothing_here/1"):
+        e.run(query)
+
+
+def test_the_occurs_check_holds_in_a_head_match():
+    e = engine("p(X, f(X)). q(X, X).")
+    assert e.run("p(Y, Y)") == []
+    assert e.run("q(Y, f(Y))") == []
+    assert e.run("q(f(Y), Y)") == []
+    e.run("assertz(r(X, g(X)))")
+    assert e.run("r(Y, Y)") == []
+    assert e.run("Y = g(Y)") == []
+    assert e.run("p(a, f(a)), q(3, 3), r(b, g(b))") == [{}]
