@@ -26,7 +26,10 @@ the repository.  The change is this checkout's working tree.
    first on even ones.
 4. Each side makes three traced runs per workload at seed 1, the sides
    alternated, and keeps the median of each per-layer metric: one traced
-   run's timings are too noisy to show a layer's change.
+   run's timings are too noisy to show a layer's change.  Every per-layer
+   metric of unit ``count`` whose medians differ between the sides is
+   listed, and printed, as ``counts_differ``: a change meant to do the
+   same work faster lists none.
 5. ``bench/BENCH_<tag>.json`` gets, per workload and end-to-end metric,
    every pair's values, both medians, the base's quartiles, the change's
    win count and whether the gain holds: at least nine wins in ten, and a
@@ -93,6 +96,12 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "gain_holds": 10 * wins >= 9 * len(parent)
         and sign * (change_median - parent_median) > q3 - q1,
     }
+
+
+def counts_differ(per_layer: list[dict], traced: dict[str, dict]) -> list[str]:
+    """The per-layer count metrics whose traced medians differ between the sides."""
+    return [m["name"] for m in per_layer if m["unit"] == "count"
+            and traced["parent"].get(m["name"]) != traced["change"].get(m["name"])]
 
 
 def extra_cost(means: dict[str, dict[str, float]]) -> dict:
@@ -237,6 +246,11 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {seed}/{len(SEEDS)}: "
                       + ", ".join(f"{n} {runs[n][-1]['metrics']['rate_per_s']:.1f}/s" for n in order),
                       file=sys.stderr)
+            # a traced run ignores the run length; 1 is a placeholder
+            traced = {n: median_each(t) for n, t in _alternated(
+                sides, lambda side: _bench(side, workload, 1, 1, 1)["metrics"]).items()}
+            differ = counts_differ(spec["per_layer"], traced)
+            print(f"{workload} counts differ: {', '.join(differ) or 'none'}", file=sys.stderr)
             report["workloads"][workload] = {
                 "attempted": {n: [r["attempted"] for r in runs[n]] for n in runs},
                 "failed": {n: [r["failed"] for r in runs[n]] for n in runs},
@@ -246,11 +260,8 @@ def main(argv=None) -> int:
                                          m["better"])
                     for m in spec["end_to_end"]
                 },
-                # a traced run ignores the run length; 1 is a placeholder
-                "traced_seed_1": {
-                    n: median_each(traced) for n, traced in _alternated(
-                        sides, lambda side: _bench(side, workload, 1, 1, 1)["metrics"]).items()
-                },
+                "traced_seed_1": traced,
+                "counts_differ": differ,
             }
     finally:
         shutil.rmtree(tmp)

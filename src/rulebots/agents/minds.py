@@ -88,9 +88,9 @@ class GoalProver:
         kb = self.engine.kb
         if kb.generation != self.generation:
             return False
-        native = kb.native
+        natives = kb.natives
         for key, args, answers in self.calls:
-            if native(key).handler(*args) != answers:
+            if natives[key].handler(*args) != answers:
                 return False
         return True
 

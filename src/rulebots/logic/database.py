@@ -24,11 +24,11 @@ import functools
 
 from rulebots.logic.errors import NotPermittedError, TermTypeError
 from rulebots.logic.reader import read_program
-from rulebots.logic.terms import TRUE, Struct, Term, Var, functor_key
+from rulebots.logic.terms import TRUE, Atom, Struct, Term, Var, functor_key
 
 # Control constructs and builtins, keyed by (name, arity).  The solver
 # fills this table when it is imported, and `rulebots.logic` imports the
-# solver before any store is used.  These names are owned by the solver:
+# solver before any store is used or any clause compiled.  These names are owned by the solver:
 # they can be neither defined by clauses nor shadowed by natives.
 BUILTINS: dict[tuple[str, int], object] = {}
 
@@ -41,7 +41,11 @@ class ClauseTemplate:
     a (name, args) tuple; a ground subterm is the parsed term itself,
     shared and never copied.  `head` holds the head's argument patterns,
     `body` the whole body, and `goals` the body split along the right
-    spine of ','/2, empty for a fact (a body of plain `true`).
+    spine of ','/2, empty for a fact (a body of plain `true`).  Each goal
+    whose functor is known here is `(argument patterns, (name, arity),
+    opcode)`, the opcode its `BUILTINS` entry or None, so a call finds
+    both without building a key; a variable goal stays its slot and an
+    integer goal itself, both checked when called.
     `plain` says the head's arguments are distinct variables, so its
     patterns are the slots `0..n-1` and a goal's arguments can start the
     frame as they are, followed by `pad`.  `source_body` keeps the parsed
@@ -58,10 +62,10 @@ class ClauseTemplate:
         self.body = _pattern(body, slots)
         goals = []
         while type(body) is Struct and body.name == "," and len(body.args) == 2:
-            goals.append(_pattern(body.args[0], slots))
+            goals.append(_goal(body.args[0], slots))
             body = body.args[1]
         if goals or body != TRUE:
-            goals.append(_pattern(body, slots))
+            goals.append(_goal(body, slots))
         self.goals = tuple(goals)
         self.slots = len(slots)
         self.plain = self.head == tuple(range(len(self.head)))
@@ -100,6 +104,22 @@ def _pattern(t: Term, slots: dict[int, int]):
         else:
             done.append(_pattern(x, slots))
     return done[0]
+
+
+def _goal(t: Term, slots: dict[int, int]):
+    """A body goal's pattern, with its key and opcode when its functor is known."""
+    p = _pattern(t, slots)
+    k = type(p)
+    if k is tuple:
+        name, args = p
+    elif k is Struct:
+        name, args = p.name, p.args
+    elif k is Atom:
+        name, args = p.name, ()
+    else:
+        return p
+    key = (name, len(args))
+    return args, key, BUILTINS.get(key)
 
 
 # A match consults four texts (the prelude and up to three packages) into
@@ -145,11 +165,15 @@ class NativePredicate:
 
 
 class KnowledgeBase:
-    """Predicate table: stored clauses, dynamic declarations and natives."""
+    """Predicate table: stored clauses, dynamic declarations and natives.
+
+    `natives` maps each registered native's key to it; the solver reads it
+    on every call, and only `register_native` writes it.
+    """
 
     def __init__(self):
         self._preds: dict[tuple[str, int], _Predicate] = {}
-        self._natives: dict[tuple[str, int], NativePredicate] = {}
+        self.natives: dict[tuple[str, int], NativePredicate] = {}
         self.generation = 0
         self._open_streams = 0
         self._dirty: set[_Predicate] = set()
@@ -158,9 +182,6 @@ class KnowledgeBase:
 
     def lookup(self, key: tuple[str, int]) -> _Predicate | None:
         return self._preds.get(key)
-
-    def native(self, key: tuple[str, int]) -> NativePredicate | None:
-        return self._natives.get(key)
 
     # -- updates -----------------------------------------------------------
 
@@ -188,7 +209,7 @@ class KnowledgeBase:
     def check_writable(self, key: tuple[str, int], what: str):
         if key in BUILTINS:
             raise NotPermittedError(f"cannot {what} reserved predicate {key[0]}/{key[1]}")
-        if key in self._natives:
+        if key in self.natives:
             raise NotPermittedError(f"cannot {what} native predicate {key[0]}/{key[1]}")
 
     def add_clause(self, head: Term, body: Term, front: bool = False) -> StoredClause:
@@ -224,11 +245,11 @@ class KnowledgeBase:
         key = (name, arity)
         if key in BUILTINS:
             raise NotPermittedError(f"cannot register native over reserved {name}/{arity}")
-        if key in self._natives:
+        if key in self.natives:
             raise NotPermittedError(f"native {name}/{arity} already registered")
         if key in self._preds and any(c.death is None for c in self._preds[key].clauses):
             raise NotPermittedError(f"cannot register native over defined predicate {name}/{arity}")
-        self._natives[key] = NativePredicate(handler, nondet)
+        self.natives[key] = NativePredicate(handler, nondet)
 
     # -- loading -----------------------------------------------------------
 

@@ -5,13 +5,19 @@ choicepoints, over a binding store with a trail, and never recurses.  A
 node `(goals, i, frame, depth, barrier, next)` runs goal `i` of `goals`
 at proof depth `depth`; a cut there truncates the choicepoint stack to
 `barrier`.  A clause body is one node over the goals of its compiled
-template (see `database.ClauseTemplate`).  A compiled goal, `(name, arg
-patterns)`, is called by building only its arguments from `frame`; a
-ground goal is called as it stands.  A head of distinct variables starts
-its frame with the call's arguments as they are; any other head is
-unified with them pattern by pattern.  A marker node, whose `goals` is an
-int, commits an if-then-else, refutes a `\\+` or collects a `findall`
-answer.
+template (see `database.ClauseTemplate`).  A compiled goal, `(arg
+patterns, key, opcode)`, carries its `(name, arity)` key and its
+`BUILTINS` opcode, or None, both fixed when its clause was compiled; the
+call builds only its arguments from `frame`, a slot or a constant inline
+and a compound through `build`.  A goal that arrives as a term (a query,
+a variable goal, or the argument of `call/1` or of a control construct)
+has its key built and looked up in `BUILTINS` when it runs.  A call
+then tries the builtins, the store's natives and its predicates, in that
+order; a native gets its arguments dereferenced, each compound resolved.
+A head of distinct variables starts its frame with the call's arguments
+as they are; any other head is unified with them pattern by pattern.  A
+marker node, whose `goals` is an int, commits an if-then-else, refutes a
+`\\+` or collects a `findall` answer.
 
 A choicepoint starts with a trail mark and holds the remaining clauses of
 a predicate, the remaining answers of a nondet native, the other branch
@@ -24,8 +30,9 @@ condition, `\\+` and `findall` run their goal one level deeper behind a
 barrier of their own, so a cut there stays inside.
 
 Every builtin is declared once, in `BUILTINS`, which this module fills
-and the store reads to refuse writes to those names: an opcode for each
-of the seven control constructs, a plain test for every other builtin.
+and the store reads, to refuse writes to those names and to give each
+compiled goal its opcode: an opcode for each of the seven control
+constructs, a plain test for every other builtin.
 
 `run` returns at each solution and leaves its choicepoints on the
 machine; a stream resumes it from a `_REFUTE` marker, and `Engine.prove`
@@ -158,15 +165,12 @@ class _Machine:
                 if ky is Var:
                     if x.id == y.id:
                         continue
-                    bind[x.id] = y
-                    trail.append(x.id)
-                elif self._occurs(x.id, y):
+                elif ky is Struct and self._occurs(x.id, y):  # only a compound can hold x
                     return False
-                else:
-                    bind[x.id] = y
-                    trail.append(x.id)
+                bind[x.id] = y
+                trail.append(x.id)
             elif ky is Var:
-                if self._occurs(y.id, x):
+                if kx is Struct and self._occurs(y.id, x):
                     return False
                 bind[y.id] = x
                 trail.append(y.id)
@@ -256,14 +260,11 @@ class _Machine:
 
     # -- resolution --------------------------------------------------------
 
-    def count_step(self, depth: int):
-        """One resolution step at `depth`: a goal entered, a ','/2 node
-        entered or a fact's `true`."""
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise BudgetExceededError(f"resolution step budget exceeded ({self.max_steps})")
-        if depth > self.max_depth:
-            raise BudgetExceededError(f"resolution depth limit exceeded ({self.max_depth})")
+    def _over_limit(self, steps: int, depth: int) -> BudgetExceededError:
+        """The error of a step that passed the step budget or the depth limit."""
+        if steps > self.max_steps:
+            return BudgetExceededError(f"resolution step budget exceeded ({self.max_steps})")
+        return BudgetExceededError(f"resolution depth limit exceeded ({self.max_depth})")
 
     def match(self, p, t: Term, frame: list) -> bool:
         """Unify a clause-template pattern with a goal term.
@@ -329,155 +330,191 @@ class _Machine:
     def run(self, node) -> bool:
         """Run `node` and its continuation to the next solution.  True at a
         solution, its bindings in place and its choicepoints left on `cps`
-        for a later run from a `_REFUTE` marker; False once none is left."""
-        trail, cps, snap, log = self.trail, self.cps, self.snap, self.log
-        deref, build, count, take_answer = self.deref, self.build, self.count_step, self.take_answer
-        native_of, lookup = self.kb.native, self.kb.lookup
+        for a later run from a `_REFUTE` marker; False once none is left.
+
+        A step is a goal entered, a ','/2 node entered or a fact's `true`;
+        the count lives in a local while the loop runs and goes back to
+        `steps` however the run ends."""
+        trail, cps, snap, log, bind = self.trail, self.cps, self.snap, self.log, self.bind
+        deref, build, resolve, take_answer = self.deref, self.build, self.resolve, self.take_answer
+        native_of, lookup = self.kb.natives.get, self.kb.lookup
+        steps, max_steps, max_depth = self.steps, self.max_steps, self.max_depth
         clauses = None
-        while True:
-            if node is None:  # the continuation is empty: a solution
-                return True
-            goals, i, frame, depth, barrier, node = node
-            if type(goals) is tuple:
-                if i + 1 < len(goals):  # a clause body's ','/2 node
-                    count(depth)
-                    node = (goals, i + 1, frame, depth, barrier, node)
-                count(depth)
-                g = goals[i]
-                if type(g) is tuple:  # a compiled call: build only its arguments
-                    args = tuple([build(a, frame) for a in g[1]])
-                    key = (g[0], len(args))
-                else:
-                    g = deref(g if frame is None else build(g, frame))
-                    k = type(g)
-                    if k is Var:
-                        raise InstantiationError("unbound variable as goal")
-                    if k is Int:
-                        raise TermTypeError("callable goal", g.value)
-                    args = g.args if k is Struct else ()
-                    key = (g.name, len(args))
-                op = BUILTINS.get(key)
-                if op is None:
-                    native = native_of(key)
-                    if native is None:
-                        pred = lookup(key)
-                        if pred is None:
-                            raise ExistenceError(*key)
-                        clauses, j, mark, depth = pred.clauses, 0, len(trail), depth + 1
-                    else:
-                        called = tuple([self.resolve(a) for a in args])
-                        answers = native.handler(*called)
-                        if log is not None:
-                            log.append((key, called, answers))
-                        if not answers:  # a handler gives None or a list of answers
-                            pass
-                        elif native.nondet and len(answers) > 1:
-                            cps.append((_ANSWERS, len(trail), iter(answers), args, node))
-                        elif take_answer(args, answers[0]):
-                            continue
-                elif type(op) is not int:
-                    if op(self, args):
-                        continue
-                elif op == CONJ:
-                    node = ((args[1],), 0, None, depth, barrier, node)
-                    node = ((args[0],), 0, None, depth, barrier, node)
-                    continue
-                elif op == CUT:
-                    del cps[barrier:]
-                    continue
-                elif op == CALL:
-                    g = deref(args[0])
-                    if type(g) is Var:
-                        raise InstantiationError("unbound variable in call/1")
-                    if type(g) is Int:
-                        raise TermTypeError("callable goal", g.value)
-                    node = ((g,), 0, None, depth + 1, len(cps), node)
-                    continue
-                elif op == NAF:
-                    h = len(cps)
-                    cps.append((_BRANCH, len(trail), node))
-                    node = ((args[0],), 0, None, depth + 1, h + 1, (_REFUTE, h, None, 0, 0, None))
-                    continue
-                elif op == FINDALL:
-                    h = len(cps)
-                    found: list[Term] = []
-                    cps.append((_FOUND, len(trail), found, args[2], node))
-                    collect = (_COLLECT, 0, (found, args[0]), 0, 0, None)
-                    node = ((args[1],), 0, None, depth + 1, h + 1, collect)
-                    continue
-                else:
-                    h = len(cps)
-                    if op == DISJ:
-                        cps.append((_BRANCH, len(trail), ((args[1],), 0, None, depth, barrier, node)))
-                        c = deref(args[0])
-                        if not (type(c) is Struct and c.name == "->" and len(c.args) == 2):
-                            node = ((c,), 0, None, depth, barrier, node)
-                            continue
-                        args = c.args
-                    then = ((args[1],), 0, None, depth, barrier, node)
-                    node = ((args[0],), 0, None, depth + 1, len(cps), (_COMMIT, h, None, 0, 0, then))
-                    continue
-            elif goals == _COLLECT:
-                frame[0].append(self.resolve(frame[1], {}))
-            else:
-                del cps[i:]
-                if goals == _COMMIT:
-                    continue
+        try:
             while True:
-                if clauses is None:  # no call to enter: resume the newest choicepoint
-                    if not cps:
-                        return False
-                    cp = cps.pop()
-                    if len(trail) > cp[1]:
-                        self.undo(cp[1])
-                    kind = cp[0]
-                    if kind == _CLAUSES:
-                        _, mark, clauses, j, args, depth, node = cp
-                    elif kind == _ANSWERS:
-                        _, mark, answers, args, node = cp
-                        for answer in answers:
-                            if take_answer(args, answer):
-                                cps.append(cp)
+                if node is None:  # the continuation is empty: a solution
+                    return True
+                goals, i, frame, depth, barrier, node = node
+                if type(goals) is tuple:
+                    if i + 1 < len(goals):  # a clause body's ','/2 node
+                        steps += 1
+                        if steps > max_steps or depth > max_depth:
+                            raise self._over_limit(steps, depth)
+                        node = (goals, i + 1, frame, depth, barrier, node)
+                    steps += 1
+                    if steps > max_steps or depth > max_depth:
+                        raise self._over_limit(steps, depth)
+                    g = goals[i]
+                    if type(g) is tuple:  # a compiled call: build only its arguments
+                        patterns, key, op = g
+                        args = []
+                        for p in patterns:
+                            k = type(p)
+                            if k is int:
+                                a = frame[p]
+                                if a is None:
+                                    a = frame[p] = fresh_var()
+                            elif k is tuple:
+                                a = build(p, frame)
+                            else:
+                                a = p
+                            args.append(a)
+                        args = tuple(args)
+                    else:
+                        g = deref(g if frame is None else build(g, frame))
+                        k = type(g)
+                        if k is Var:
+                            raise InstantiationError("unbound variable as goal")
+                        if k is Int:
+                            raise TermTypeError("callable goal", g.value)
+                        args = g.args if k is Struct else ()
+                        key = (g.name, len(args))
+                        op = BUILTINS.get(key)
+                    if op is None:
+                        native = native_of(key)
+                        if native is None:
+                            pred = lookup(key)
+                            if pred is None:
+                                raise ExistenceError(*key)
+                            clauses, j, mark, depth = pred.clauses, 0, len(trail), depth + 1
+                        else:
+                            called = []
+                            for a in args:
+                                while type(a) is Var:
+                                    b = bind.get(a.id)
+                                    if b is None:
+                                        break
+                                    a = b
+                                if type(a) is Struct:
+                                    a = resolve(a)
+                                called.append(a)
+                            called = tuple(called)
+                            answers = native.handler(*called)
+                            if log is not None:
+                                log.append((key, called, answers))
+                            if not answers:  # a handler gives None or a list of answers
+                                pass
+                            elif native.nondet and len(answers) > 1:
+                                cps.append((_ANSWERS, len(trail), iter(answers), args, node))
+                            elif take_answer(args, answers[0]):
+                                continue
+                    elif type(op) is not int:
+                        if op(self, args):
+                            continue
+                    elif op == CONJ:
+                        node = ((args[1],), 0, None, depth, barrier, node)
+                        node = ((args[0],), 0, None, depth, barrier, node)
+                        continue
+                    elif op == CUT:
+                        del cps[barrier:]
+                        continue
+                    elif op == CALL:
+                        g = deref(args[0])
+                        if type(g) is Var:
+                            raise InstantiationError("unbound variable in call/1")
+                        if type(g) is Int:
+                            raise TermTypeError("callable goal", g.value)
+                        node = ((g,), 0, None, depth + 1, len(cps), node)
+                        continue
+                    elif op == NAF:
+                        h = len(cps)
+                        cps.append((_BRANCH, len(trail), node))
+                        node = ((args[0],), 0, None, depth + 1, h + 1, (_REFUTE, h, None, 0, 0, None))
+                        continue
+                    elif op == FINDALL:
+                        h = len(cps)
+                        found: list[Term] = []
+                        cps.append((_FOUND, len(trail), found, args[2], node))
+                        collect = (_COLLECT, 0, (found, args[0]), 0, 0, None)
+                        node = ((args[1],), 0, None, depth + 1, h + 1, collect)
+                        continue
+                    else:
+                        h = len(cps)
+                        if op == DISJ:
+                            cps.append((_BRANCH, len(trail), ((args[1],), 0, None, depth, barrier, node)))
+                            c = deref(args[0])
+                            if not (type(c) is Struct and c.name == "->" and len(c.args) == 2):
+                                node = ((c,), 0, None, depth, barrier, node)
+                                continue
+                            args = c.args
+                        then = ((args[1],), 0, None, depth, barrier, node)
+                        node = ((args[0],), 0, None, depth + 1, len(cps), (_COMMIT, h, None, 0, 0, then))
+                        continue
+                elif goals == _COLLECT:
+                    frame[0].append(resolve(frame[1], {}))
+                else:
+                    del cps[i:]
+                    if goals == _COMMIT:
+                        continue
+                while True:
+                    if clauses is None:  # no call to enter: resume the newest choicepoint
+                        if not cps:
+                            return False
+                        cp = cps.pop()
+                        if len(trail) > cp[1]:
+                            self.undo(cp[1])
+                        kind = cp[0]
+                        if kind == _CLAUSES:
+                            _, mark, clauses, j, args, depth, node = cp
+                        elif kind == _ANSWERS:
+                            _, mark, answers, args, node = cp
+                            for answer in answers:
+                                if take_answer(args, answer):
+                                    cps.append(cp)
+                                    break
+                                self.undo(mark)
+                            else:
+                                continue
+                            break
+                        elif kind == _BRANCH:
+                            node = cp[2]
+                            break
+                        else:
+                            _, mark, found, out, node = cp
+                            if self.unify(out, make_list(found)):
+                                break
+                            continue
+                    # enter the first clause from `j` that is alive and whose head
+                    # matches, leaving a choicepoint only if clauses remain after it
+                    n = len(clauses)
+                    while j < n:
+                        clause = clauses[j]
+                        j += 1
+                        if clause.alive_at(snap):
+                            template = clause.template
+                            if template.plain:
+                                frame = [*args, *template.pad]
+                                break
+                            frame = [None] * template.slots
+                            if self.match_args(template.head, args, frame):
                                 break
                             self.undo(mark)
-                        else:
-                            continue
-                        break
-                    elif kind == _BRANCH:
-                        node = cp[2]
-                        break
                     else:
-                        _, mark, found, out, node = cp
-                        if self.unify(out, make_list(found)):
-                            break
+                        clauses = None
                         continue
-                # enter the first clause from `j` that is alive and whose head
-                # matches, leaving a choicepoint only if clauses remain after it
-                n = len(clauses)
-                while j < n:
-                    clause = clauses[j]
-                    j += 1
-                    if clause.alive_at(snap):
-                        template = clause.template
-                        if template.plain:
-                            frame = [*args, *template.pad]
-                            break
-                        frame = [None] * template.slots
-                        if self.match_args(template.head, args, frame):
-                            break
-                        self.undo(mark)
-                else:
+                    barrier = len(cps)
+                    if j < n:
+                        cps.append((_CLAUSES, mark, clauses, j, args, depth, node))
                     clauses = None
-                    continue
-                barrier = len(cps)
-                if j < n:
-                    cps.append((_CLAUSES, mark, clauses, j, args, depth, node))
-                clauses = None
-                if template.goals:
-                    node = (template.goals, 0, frame, depth, barrier, node)
-                else:
-                    count(depth)  # a fact's body `true`
-                break
+                    if template.goals:
+                        node = (template.goals, 0, frame, depth, barrier, node)
+                    else:  # a fact's body `true` is one step
+                        steps += 1
+                        if steps > max_steps or depth > max_depth:
+                            raise self._over_limit(steps, depth)
+                    break
+        finally:
+            self.steps = steps
 
 
 # -- builtins --------------------------------------------------------------

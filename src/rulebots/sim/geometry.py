@@ -2,10 +2,15 @@
 
 Positions are integer centimetres and angles integer degrees.  Bearings
 come from a fixed tangent table, so every comparison is exact integer
-arithmetic and results cannot drift between platforms.
+arithmetic and results cannot drift between platforms.  A slope num/den
+falls below table entry T exactly when num * 2^32 < den * T, and, T
+being an integer, exactly when floor(num * 2^32 / den) < T: so one
+`bisect_right` over the table on that floor finds the bearing.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 # tan((k + 0.5) degrees) * 2^32, k = 0..44.  A vector whose in-octant
 # slope falls below entry k has bearing k degrees within the octant.
@@ -21,21 +26,6 @@ _TAN_TABLE = (
     3668248612, 3799866077, 3935612425, 4075771779, 4220652607,
 )
 
-_SHIFT = 1 << 32
-
-
-def _octant_angle(num: int, den: int) -> int:
-    """Bearing in degrees for a slope num/den with 0 <= num <= den."""
-    lo, hi = 0, 45
-    scaled = num * _SHIFT
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if scaled < den * _TAN_TABLE[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
 
 def bearing_deg(dx: int, dy: int) -> int:
     """Integer bearing of (dx, dy): 0 = +x, counter-clockwise, [0, 360).
@@ -47,13 +37,13 @@ def bearing_deg(dx: int, dy: int) -> int:
         return 0
     ax, ay = abs(dx), abs(dy)
     if ay <= ax:
-        a = _octant_angle(ay, ax)
+        a = bisect_right(_TAN_TABLE, (ay << 32) // ax)
         if dx >= 0:
             base = a if dy >= 0 else (360 - a) % 360
         else:
             base = 180 - a if dy >= 0 else 180 + a
     else:
-        a = _octant_angle(ax, ay)
+        a = bisect_right(_TAN_TABLE, (ax << 32) // ay)
         if dy >= 0:
             base = 90 - a if dx >= 0 else 90 + a
         else:

@@ -68,6 +68,28 @@ def test_extra_cost_is_each_scripted_pairing_over_native_on_its_map():
     }
 
 
+def test_counts_differ_lists_only_count_metrics_whose_medians_differ():
+    per_layer = [
+        {"name": "lookup_calls", "unit": "count"},
+        {"name": "clause_tries", "unit": "count"},
+        {"name": "asserts", "unit": "count"},
+        {"name": "lookup_ms", "unit": "ms"},
+        {"name": "visible_ratio", "unit": "ratio"},
+    ]
+    traced = {
+        "parent": {"lookup_calls": 38087, "clause_tries": 56135, "asserts": 0,
+                   "lookup_ms": 1.5, "visible_ratio": 0.5},
+        "change": {"lookup_calls": 38087, "clause_tries": 56136, "asserts": 0,
+                   "lookup_ms": 1.25, "visible_ratio": 0.75},
+    }
+    assert compare.counts_differ(per_layer, traced) == ["clause_tries"]
+    traced["change"]["clause_tries"] = 56135
+    assert compare.counts_differ(per_layer, traced) == []
+    # a count one side does not report at all differs
+    del traced["change"]["asserts"]
+    assert compare.counts_differ(per_layer, traced) == ["asserts"]
+
+
 def test_median_each_takes_every_number_across_runs():
     runs = [
         {"rate": 3.0, "warehouse": {"native": 0.5, "scripted:full": 1.25}},

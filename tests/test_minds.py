@@ -79,7 +79,7 @@ def test_signature_tables_match_what_a_mind_registers(baseline_stack):
     # the validator trusts these tables, derived from the natives' rows, to
     # list exactly what a mind registers
     mind = scripted_mind(support.line_world(), 0, baseline_stack)
-    registered = list(mind.engine.kb._natives)
+    registered = list(mind.engine.kb.natives)
     tables = PERCEPTION_NATIVE_SIGNATURES + ACTION_NATIVE_SIGNATURES
     assert len(set(tables)) == len(tables)
     assert sorted(registered) == sorted(tables)
