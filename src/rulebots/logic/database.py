@@ -28,8 +28,9 @@ from rulebots.logic.terms import TRUE, Atom, Struct, Term, Var, functor_key
 
 # Control constructs and builtins, keyed by (name, arity).  The solver
 # fills this table when it is imported, and `rulebots.logic` imports the
-# solver before any store is used or any clause compiled.  These names are owned by the solver:
-# they can be neither defined by clauses nor shadowed by natives.
+# solver before any store is used or any clause compiled.  These names
+# are owned by the solver: they can be neither defined by clauses nor
+# shadowed by natives.
 BUILTINS: dict[tuple[str, int], object] = {}
 
 
