@@ -20,6 +20,14 @@ def test_line_map_basics():
     assert m.tagged("hostage_point") == [4]
 
 
+def test_changing_a_tagged_list_leaves_the_map_unchanged():
+    # every match of a map shares one parse, so no caller may reach into it
+    m = parse_map(support.LINE_MAP)
+    points = m.tagged("hostage_point")
+    points.append(0)
+    points.remove(4)
+    assert m.tagged("hostage_point") == [4]
+
 def test_metres_become_centimetres():
     m = parse_map(support.LINE_MAP)
     # edge cost 4 m

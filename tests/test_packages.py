@@ -237,6 +237,24 @@ def test_validate_refuses_what_a_match_refuses(tmp_path, capsys, case):
     assert capsys.readouterr().out == f"error: package bad: {error}\n"
 
 
+# Packages `validate` accepts, each stacked on `baseline`: an options term,
+# or a part of one, that arrives through a variable is bound only when its
+# launcher runs, so the validator cannot refuse it.
+ACCEPTED = {
+    "a motivation through a variable": "go(B, M) :- action_goto(B, 0, M).\n",
+    "the andThen part of a pair through a variable": (
+        "go(B, C) :- action_goto(B, 0, (no_visible_enemy(B), C)).\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED))
+def test_validate_accepts_options_completed_by_a_variable(tmp_path, capsys, case):
+    (tmp_path / "addon.pl").write_text(ACCEPTED[case])
+    (tmp_path / "addon.mf").write_text("package addon\nlevel map_type\nfile addon.pl\n")
+    assert cli.main(["validate", "baseline", str(tmp_path / "addon.mf")]) == cli.OK
+    assert capsys.readouterr().out == "ok: baseline, addon\n"
+
 # Stacks that name one package twice, as `validate` arguments (`{dir}` is
 # a scratch directory holding `copy.mf`, a package record that repeats the
 # bundled `cs_rules`), and the one error `validate` prints.
