@@ -23,9 +23,11 @@ from rulebots.logic import (
     Struct,
     Term,
     TermTypeError,
+    Var,
     collect_vars,
     term_str,
 )
+from rulebots.logic.terms import functor_key
 from rulebots.sim import (
     AttackIntent,
     BuyIntent,
@@ -202,28 +204,35 @@ def _ticks(term: Term) -> int:
     return n
 
 
-def _require_goal(term: Term, what: str) -> Term:
-    if not isinstance(term, (Atom, Struct)):
-        raise TermTypeError(f"callable {what}", term_str(term))
-    return term
+def option_goals(opts: Term) -> tuple[Term | None, Term | None]:
+    """(motivation, continuation) of an options term: a bare motivation
+    goal M, a continuation marker andThen(C), or the pair (M, andThen(C)).
+
+    A variable part is bound only when the launcher runs, so it is never
+    refused; a pair whose andThen part is a variable has no continuation.
+    """
+    key = functor_key(opts)
+    if key == (",", 2):
+        motivation, then = opts.args
+        if type(then) is not Var and functor_key(then) != ("andThen", 1):
+            raise TermTypeError("(motivation, andThen(goal)) pair", term_str(opts))
+    elif key == ("andThen", 1):
+        motivation, then = None, opts
+    else:
+        motivation, then = opts, None
+    continuation = then.args[0] if type(then) is Struct else None
+    for part, what in ((motivation, "motivation"), (continuation, "continuation")):
+        if part is not None and type(part) not in (Atom, Struct, Var):
+            raise TermTypeError(f"callable {what}", term_str(part))
+    return motivation, continuation
 
 
 def split_opts(opts: Term) -> tuple[Term | None, Term | None]:
-    """Unpack an options term into (motivation, continuation).
-
-    Accepted shapes: a bare motivation goal M, a continuation marker
-    andThen(C), or the pair (M, andThen(C)).
-    """
+    """A launched action's options term, which must be ground, as
+    (motivation, continuation)."""
     if collect_vars(opts):
         raise InstantiationError("action options must be ground")
-    if isinstance(opts, Struct) and opts.name == "," and len(opts.args) == 2:
-        left, right = opts.args
-        if not (isinstance(right, Struct) and right.name == "andThen" and len(right.args) == 1):
-            raise TermTypeError("(motivation, andThen(goal)) pair", term_str(opts))
-        return _require_goal(left, "motivation"), _require_goal(right.args[0], "continuation")
-    if isinstance(opts, Struct) and opts.name == "andThen" and len(opts.args) == 1:
-        return None, _require_goal(opts.args[0], "continuation")
-    return _require_goal(opts, "motivation"), None
+    return option_goals(opts)
 
 
 def _own_bot(executor: ActionExecutor, term: Term) -> None:

@@ -90,7 +90,8 @@ class GoalProver:
             return False
         natives = kb.natives
         for key, args, answers in self.calls:
-            if natives[key].handler(*args) != answers:
+            handler, _ = natives[key]
+            if handler(*args) != answers:
                 return False
         return True
 

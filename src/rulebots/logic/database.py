@@ -157,24 +157,17 @@ class _Predicate:
         self.clauses = [c for c in self.clauses if c.death is None]
 
 
-class NativePredicate:
-    __slots__ = ("handler", "nondet")
-
-    def __init__(self, handler, nondet: bool):
-        self.handler = handler
-        self.nondet = nondet
-
-
 class KnowledgeBase:
     """Predicate table: stored clauses, dynamic declarations and natives.
 
-    `natives` maps each registered native's key to it; the solver reads it
-    on every call, and only `register_native` writes it.
+    `natives` maps each registered native's key to its `(handler, nondet)`
+    pair; the solver reads it on every call, and only `register_native`
+    writes it.
     """
 
     def __init__(self):
         self._preds: dict[tuple[str, int], _Predicate] = {}
-        self.natives: dict[tuple[str, int], NativePredicate] = {}
+        self.natives: dict[tuple[str, int], tuple] = {}
         self.generation = 0
         self._open_streams = 0
         self._dirty: set[_Predicate] = set()
@@ -250,7 +243,7 @@ class KnowledgeBase:
             raise NotPermittedError(f"native {name}/{arity} already registered")
         if key in self._preds and any(c.death is None for c in self._preds[key].clauses):
             raise NotPermittedError(f"cannot register native over defined predicate {name}/{arity}")
-        self.natives[key] = NativePredicate(handler, nondet)
+        self.natives[key] = (handler, nondet)
 
     # -- loading -----------------------------------------------------------
 

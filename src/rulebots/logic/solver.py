@@ -399,12 +399,13 @@ class _Machine:
                                     a = resolve(a)
                                 called.append(a)
                             called = tuple(called)
-                            answers = native.handler(*called)
+                            handler, nondet = native
+                            answers = handler(*called)
                             if log is not None:
                                 log.append((key, called, answers))
                             if not answers:  # a handler gives None or a list of answers
                                 pass
-                            elif native.nondet and len(answers) > 1:
+                            elif nondet and len(answers) > 1:
                                 cps.append((_ANSWERS, len(trail), iter(answers), args, node))
                             elif take_answer(args, answers[0]):
                                 continue

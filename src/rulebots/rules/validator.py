@@ -13,9 +13,9 @@ from collections import Counter
 
 from rulebots.logic.terms import functor_key
 from rulebots.logic.database import BUILTINS, KnowledgeBase, compile_program
-from rulebots.logic.errors import NotPermittedError
+from rulebots.logic.errors import NotPermittedError, TermTypeError
 from rulebots.logic.reader import split_clause
-from rulebots.agents.actions import ACTION_NATIVES, LAUNCHERS, register_action_natives
+from rulebots.agents.actions import ACTION_NATIVES, LAUNCHERS, option_goals, register_action_natives
 from rulebots.agents.minds import RUNTIME_PRELUDE
 from rulebots.agents.perception import PERCEPTION_NATIVES, register_perception
 from rulebots.rules.manifest import LEVELS, RulePackage
@@ -37,13 +37,8 @@ def _run(*positions):
 
 
 def _options(args):
-    """The goals of a launcher's options, its last argument: M, andThen(C) or (M, andThen(C))."""
-    opts = args[-1]
-    if functor_key(opts) == ("andThen", 1):
-        return opts.args
-    if functor_key(opts) == (",", 2) and functor_key(opts.args[1]) == ("andThen", 1):
-        return opts.args[0], opts.args[1].args[0]
-    return (opts,)
+    """The goals of a launcher's options term, its last argument."""
+    return [goal for goal in option_goals(args[-1]) if goal is not None]
 
 
 # Each construct that runs some of its arguments as goals, to those
@@ -58,15 +53,19 @@ GOAL_ARGS = {
 _CLAUSE_REFS = {("assert", 1), ("asserta", 1), ("assertz", 1), ("retract", 1)}
 
 
-def _walk(clauses, called: set, asserted: set) -> None:
-    """Add the keys the clauses' bodies call, and the heads they assert or retract."""
+def _walk(clauses, called: set, asserted: set, faults: list) -> None:
+    """Add the keys the clauses' bodies call, the heads they assert or
+    retract, and the message of each options term a launcher refuses."""
     stack = [clause.source_body for clause in clauses]
     while stack:
         goal = stack.pop()
         key = functor_key(goal)
         goals_of = GOAL_ARGS.get(key)
         if goals_of is not None:
-            stack.extend(goals_of(goal.args))
+            try:
+                stack.extend(goals_of(goal.args))
+            except TermTypeError as exc:
+                faults.append(str(exc))
         elif key in _CLAUSE_REFS:
             head_key = functor_key(split_clause(goal.args[0])[0])
             if head_key is not None:
@@ -129,7 +128,9 @@ def validate_stack(packages: list[RulePackage]) -> tuple[list[str], list[str]]:
     for pkg, clauses in zip(packages, parsed):
         called: set = set()
         asserted: set = set()
-        _walk(clauses, called, asserted)
+        faults: list = []
+        _walk(clauses, called, asserted, faults)
+        errors.extend(f"package {pkg.name}: {fault}" for fault in faults)
         for key in sorted(called):
             if key in known:
                 continue

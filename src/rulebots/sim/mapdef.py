@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from rulebots.sim.geometry import segments_intersect
@@ -38,8 +38,7 @@ class Waypoint:
 
 
 # One instance is shared by every match of a map in a process (see
-# `load_map`), so no field may be reassigned; `_dist_cache` is a pure
-# function of `adj`, so filling it changes no other match's answer.
+# `load_map`), so it is complete when parsed and nothing changes it.
 @dataclass(frozen=True)
 class MapDefinition:
     name: str
@@ -47,28 +46,19 @@ class MapDefinition:
     adj: dict[int, tuple]  # id -> ((neighbour, cost_cm), ...) sorted by neighbour
     edge_cost: dict[tuple[int, int], int]
     vis: frozenset  # symmetric (a, b) pairs, self pairs included
+    ids: tuple[int, ...]  # ascending
+    tag_ids: dict[str, tuple[int, ...]]  # tag -> its waypoints' ids, ascending
+    costs_to: dict[int, dict[int, int]]  # goal -> {id: cost of the cheapest path to goal}
     source_hash: int = 0
-    _dist_cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def ids(self) -> list[int]:
-        return sorted(self.waypoints)
 
     def tagged(self, tag: str) -> list[int]:
-        return [i for i in self.ids if tag in self.waypoints[i].tags]
+        return list(self.tag_ids.get(tag, ()))
 
     def can_see(self, a: int, b: int) -> bool:
         return (a, b) in self.vis
 
-    def dist_to(self, goal: int) -> dict[int, int]:
-        cached = self._dist_cache.get(goal)
-        if cached is None:
-            cached = dijkstra_from(self.adj, goal)
-            self._dist_cache[goal] = cached
-        return cached
-
     def cost(self, a: int, b: int) -> int | None:
-        return self.dist_to(b).get(a)
+        return self.costs_to[b].get(a)
 
 
 def _parse_cm(token: str, where: str) -> int:
@@ -223,6 +213,9 @@ def parse_map(text: str, name_hint: str = "") -> MapDefinition:
         adj=adj,
         edge_cost=edge_cost,
         vis=frozenset(vis),
+        ids=tuple(ids),
+        tag_ids={tag: tuple(i for i in ids if tag in waypoints[i].tags) for tag in VALID_TAGS},
+        costs_to={goal: dijkstra_from(adj, goal) for goal in ids},
         source_hash=fnv1a64(text.encode("utf-8")),
     )
 

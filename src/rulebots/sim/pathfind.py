@@ -31,7 +31,7 @@ def shortest_path(mapdef, start: int, goal: int) -> list[int] | None:
     """Waypoint sequence from start to goal inclusive, or None."""
     if start == goal:
         return [start]
-    dist = mapdef.dist_to(goal)
+    dist = mapdef.costs_to[goal]
     here = dist.get(start)
     if here is None:
         return None

@@ -164,7 +164,6 @@ class WorldState:
         self.tick = 0
         self.outcome: RoundOutcome | None = None
         self.events: list[tuple[int, int, int, str, str]] = []
-        self._seq = 0
         self._fov_key: tuple[int, int] | None = None
         self._respawn()
         self._event(WORLD, "round_start", f"round={round_no}")
@@ -275,8 +274,7 @@ class WorldState:
     # -- events ---------------------------------------------------------
 
     def _event(self, bot_key: int, etype: str, payload: str) -> None:
-        self.events.append((self.tick, bot_key, self._seq, etype, payload))
-        self._seq += 1
+        self.events.append((self.tick, bot_key, len(self.events), etype, payload))
 
     def log_agent_event(self, bot_id: int, etype: str, payload: str) -> None:
         self._event(bot_id, etype, payload)

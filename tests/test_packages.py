@@ -3,7 +3,8 @@
 import pytest
 
 import support
-from rulebots.logic import reader
+from rulebots.agents.actions import split_opts
+from rulebots.logic import TermTypeError, reader
 from rulebots.logic.database import BUILTINS
 from rulebots.match import ControllerSpec, MatchConfig, cli
 from rulebots.match.match import build_match
@@ -223,6 +224,13 @@ REFUSED = {
         "reasoning_hook(B) :- action_kill(B, 1, and(bot_alive(1), bot_in_fvo(B, 1))).\n", (),
         "call to undefined bot_in_fvo/2",
     ),
+    "a pair without andThen": (
+        "reasoning_hook(B) :- action_goto(B, 0, (no_visible_enemy(B), bot_alive(B))).\n", (),
+        "expected (motivation, andThen(goal)) pair, got 'no_visible_enemy(B),bot_alive(B)'",
+    ),
+    "a motivation that is a number": (
+        "reasoning_hook(B) :- action_goto(B, 0, 5).\n", (), "expected callable motivation, got '5'",
+    ),
 }
 
 
@@ -236,6 +244,35 @@ def test_validate_refuses_what_a_match_refuses(tmp_path, capsys, case):
     assert cli.main(["validate", "baseline", str(tmp_path / "bad.mf")]) == cli.INVALID
     assert capsys.readouterr().out == f"error: package bad: {error}\n"
 
+
+
+def _options_terms(depth):
+    """Every ground options term up to `depth`, as text, built from a
+    callable goal, an integer, andThen(x) and (x, y)."""
+    terms = ["bot_alive(1)", "5"]
+    for _ in range(depth):
+        terms = [
+            "bot_alive(1)", "5",
+            *(f"andThen({x})" for x in terms),
+            *(f"({x}, {y})" for x in terms for y in terms),
+        ]
+    return terms
+
+
+def test_validate_refuses_exactly_the_options_a_launcher_refuses():
+    baseline = load_package("baseline")
+    for opts in _options_terms(2):
+        rules = f"reasoning_hook(B) :- action_goto(B, 0, {opts}).\n"
+        errors, _ = validate_stack([baseline, pkg("bad", "map_type", rules)])
+        try:
+            split_opts(reader.read_term(opts)[0])
+            expected = []
+        except TermTypeError as exc:
+            expected = [f"package bad: {exc}"]
+        # an andThen nested inside an accepted goal is run as a goal, and
+        # validate rightly reports it as an undefined predicate
+        faults = [e for e in errors if e != "package bad: call to undefined andThen/1"]
+        assert faults == expected, opts
 
 # Packages `validate` accepts, each stacked on `baseline`: an options term,
 # or a part of one, that arrives through a variable is bound only when its
