@@ -245,7 +245,6 @@ def test_validate_refuses_what_a_match_refuses(tmp_path, capsys, case):
     assert capsys.readouterr().out == f"error: package bad: {error}\n"
 
 
-
 def _options_terms(depth):
     """Every ground options term up to `depth`, as text, built from a
     callable goal, an integer, andThen(x) and (x, y)."""
@@ -273,6 +272,7 @@ def test_validate_refuses_exactly_the_options_a_launcher_refuses():
         # validate rightly reports it as an undefined predicate
         faults = [e for e in errors if e != "package bad: call to undefined andThen/1"]
         assert faults == expected, opts
+
 
 # Packages `validate` accepts, each stacked on `baseline`: an options term,
 # or a part of one, that arrives through a variable is bound only when its
