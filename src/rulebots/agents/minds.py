@@ -9,6 +9,7 @@ rule stack is the baseline package.
 
 from __future__ import annotations
 
+import functools
 import weakref
 
 from rulebots.logic import Atom, Engine, Int, KnowledgeBase, Struct, Term
@@ -31,6 +32,33 @@ ROUND_SCOPED_DYNAMICS = (
     ("committed_tactic", 1),
     ("last_post", 2),
 )
+
+
+# A match's minds play at most two distinct stacks, and an experiment's
+# matches the same few; the bound only keeps a host that plays many one-off
+# stacks from growing the cache without limit.
+@functools.lru_cache(maxsize=8)
+def stack_template(stack: tuple) -> KnowledgeBase:
+    """The store every mind playing `stack` forks, built once per process.
+
+    Its native keys are reserved with placeholder handlers, bound to no
+    world, so the store refuses what a mind's would; then the round-scoped
+    dynamics are declared, the prelude consulted, and the packages'
+    dynamics declared and each package consulted.  A stack the store
+    refuses raises on every call, and nothing writes the template.
+    """
+    kb = KnowledgeBase()
+    register_perception(kb, None, None)
+    register_action_natives(kb, None)
+    for name, arity in ROUND_SCOPED_DYNAMICS:
+        kb.declare_dynamic(name, arity)
+    kb.consult(RUNTIME_PRELUDE)
+    for pkg in stack:
+        for name, arity in pkg.dynamics:
+            kb.declare_dynamic(name, arity)
+    for pkg in stack:
+        kb.consult(pkg.text)
+    return kb
 
 
 # The calls that make a proof an effect, besides an assert or a retract:
@@ -99,17 +127,14 @@ class GoalProver:
 class Mind:
     kind = "abstract"
 
-    def __init__(self, world: WorldState, bot_id: int, board: list):
+    def __init__(self, world: WorldState, bot_id: int, board: list, stack: tuple = ()):
         self.world = world
         self.bot_id = bot_id
         self.executor = ActionExecutor(world, bot_id)
-        kb = KnowledgeBase()
+        kb = stack_template(stack).fork()
         register_perception(kb, world, board)
         register_action_natives(kb, self.executor)
-        for name, arity in ROUND_SCOPED_DYNAMICS:
-            kb.declare_dynamic(name, arity)
         self.engine = Engine(kb, output=lambda s: None)
-        self.engine.consult(RUNTIME_PRELUDE)
         # The provers reach the engine weakly: the engine's action natives
         # already hold the executor, and a strong edge back would make each
         # mind a reference cycle, left for the cyclic collector to free.
@@ -151,12 +176,7 @@ class ScriptedMind(Mind):
     kind = "scripted"
 
     def __init__(self, world, bot_id, board, stack):
-        super().__init__(world, bot_id, board)
-        for pkg in stack:
-            for name, arity in pkg.dynamics:
-                self.engine.kb.declare_dynamic(name, arity)
-        for pkg in stack:
-            self.engine.consult(pkg.text)
+        super().__init__(world, bot_id, board, tuple(stack))
         self._entry_goal = Struct("do_reasoning", (Int(bot_id),))
         self._prove_entry = GoalProver(weakref.proxy(self.engine))
         self.provers.append(self._prove_entry)

@@ -13,6 +13,12 @@ lists are copy-on-write apart from `append`: a rebuild or an `asserta`
 makes a new list, so an enumeration already running keeps the list it
 started on, and a clause appended after its snapshot is skipped as unborn.
 
+A store can be forked: the fork starts with the same predicate table and
+generation, and shares each predicate with its source until either store
+first writes it.  That write copies the predicate's clause list and
+lifetimes into the writer's own table, so a shared predicate is never
+written, and an enumeration running over it keeps its snapshot.
+
 A clause is compiled once into an immutable `ClauseTemplate`, and a
 program text once per process, so stores that consult the same text
 share its templates; a `StoredClause` adds only its store's lifetime.
@@ -138,20 +144,25 @@ class StoredClause:
 
     __slots__ = ("template", "birth", "death")
 
-    def __init__(self, template: ClauseTemplate, birth: int):
+    def __init__(self, template: ClauseTemplate, birth: int, death: int | None = None):
         self.template = template
         self.birth = birth
-        self.death: int | None = None
+        self.death = death
 
     def alive_at(self, generation: int) -> bool:
         return self.birth <= generation and (self.death is None or self.death > generation)
 
 
 class _Predicate:
-    __slots__ = ("clauses",)
+    """A predicate's clause list.  `shared` is set once a fork holds the
+    predicate: from then on no store writes it, and a writer copies it
+    into a predicate of its own first."""
+
+    __slots__ = ("clauses", "shared")
 
     def __init__(self):
         self.clauses: list[StoredClause] = []
+        self.shared = False
 
     def drop_dead(self):
         self.clauses = [c for c in self.clauses if c.death is None]
@@ -176,6 +187,24 @@ class KnowledgeBase:
 
     def lookup(self, key: tuple[str, int]) -> _Predicate | None:
         return self._preds.get(key)
+
+    def _unshare(self, key: tuple[str, int], shared: _Predicate) -> _Predicate:
+        """Put a copy of a shared predicate, lifetimes and all, in its place
+        in this store, to be written."""
+        pred = self._preds[key] = _Predicate()
+        pred.clauses = [StoredClause(c.template, c.birth, c.death) for c in shared.clauses]
+        return pred
+
+    def fork(self) -> KnowledgeBase:
+        """A store with this one's clauses, dynamic declarations and
+        generation, and no natives.  The two share every predicate until
+        one of them first writes it."""
+        kb = KnowledgeBase()
+        kb._preds = dict(self._preds)
+        kb.generation = self.generation
+        for pred in self._preds.values():
+            pred.shared = True
+        return kb
 
     # -- updates -----------------------------------------------------------
 
@@ -218,6 +247,8 @@ class KnowledgeBase:
         if pred is None:
             pred = _Predicate()
             self._preds[template.key] = pred
+        elif pred.shared:
+            pred = self._unshare(template.key, pred)
         clause = StoredClause(template, self._bump())
         if front:
             pred.clauses = [clause, *pred.clauses]
@@ -226,8 +257,14 @@ class KnowledgeBase:
         return clause
 
     def kill_clause(self, clause: StoredClause):
+        key = clause.template.key
+        pred = self._preds[key]
+        if pred.shared:  # kill this store's copy of the clause
+            i = pred.clauses.index(clause)
+            pred = self._unshare(key, pred)
+            clause = pred.clauses[i]
         clause.death = self._bump()
-        self._lost_clauses(self._preds[clause.template.key])
+        self._lost_clauses(pred)
 
     def declare_dynamic(self, name: str, arity: int):
         key = (name, arity)
@@ -259,9 +296,12 @@ class KnowledgeBase:
 
     def retract_all(self, name: str, arity: int):
         """Kill every live clause of a predicate (keeps the declaration)."""
-        pred = self._preds.get((name, arity))
+        key = (name, arity)
+        pred = self._preds.get(key)
         if pred is None:
             return
+        if pred.shared:
+            pred = self._unshare(key, pred)
         for c in pred.clauses:
             if c.death is None:
                 c.death = self._bump()

@@ -320,10 +320,15 @@ class _Machine:
         return p
 
     def take_answer(self, args: tuple, answer) -> bool:
-        """Unify a native's answer: one term per argument, or None for plain success."""
+        """Unify a native's answer: one term per argument, or None for plain
+        success.  An unbound variable takes an atom or an integer directly."""
         if answer is not None:
+            bind = self.bind
             for orig, new in zip(args, answer):
-                if not self.unify(orig, new):
+                if type(orig) is Var and orig.id not in bind and (type(new) is Atom or type(new) is Int):
+                    bind[orig.id] = new
+                    self.trail.append(orig.id)
+                elif not self.unify(orig, new):
                     return False
         return True
 

@@ -36,7 +36,8 @@ def _resolve_stack(spec: ControllerSpec):
 def build_match(config: MatchConfig):
     """World, team boards and minds for one match, packages validated."""
     mapdef = load_map(config.map_name)
-    stacks = {CT: _resolve_stack(config.ct), T: _resolve_stack(config.t)}
+    resolved = {spec: _resolve_stack(spec) for spec in dict.fromkeys((config.ct, config.t))}
+    stacks = {CT: resolved[config.ct], T: resolved[config.t]}
     kinds = {CT: config.ct.kind, T: config.t.kind}
     world = WorldState(mapdef, SimConfig(), config.seed)
     boards = {CT: [], T: []}

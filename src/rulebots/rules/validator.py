@@ -12,12 +12,12 @@ from __future__ import annotations
 from collections import Counter
 
 from rulebots.logic.terms import functor_key
-from rulebots.logic.database import BUILTINS, KnowledgeBase, compile_program
+from rulebots.logic.database import BUILTINS, compile_program
 from rulebots.logic.errors import NotPermittedError, TermTypeError
 from rulebots.logic.reader import split_clause
-from rulebots.agents.actions import ACTION_NATIVES, LAUNCHERS, option_goals, register_action_natives
-from rulebots.agents.minds import RUNTIME_PRELUDE
-from rulebots.agents.perception import PERCEPTION_NATIVES, register_perception
+from rulebots.agents.actions import ACTION_NATIVES, LAUNCHERS, option_goals
+from rulebots.agents.minds import RUNTIME_PRELUDE, stack_template
+from rulebots.agents.perception import PERCEPTION_NATIVES
 from rulebots.rules.manifest import LEVELS, RulePackage
 
 # What every mind defines before any package: its natives and the prelude.
@@ -27,9 +27,7 @@ NATIVE_SIGNATURES = frozenset(
 
 # A mind's store before any package, its natives bound to nothing, so the
 # store's own `check_writable` refuses what a mind would.
-_MIND_STORE = KnowledgeBase()
-register_perception(_MIND_STORE, None, None)
-register_action_natives(_MIND_STORE, None)
+_MIND_STORE = stack_template(())
 
 
 def _run(*positions):

@@ -2,13 +2,17 @@
 
 A dead clause is freed once no open query stream can see it: while a
 stream is open the clauses of its snapshot stay, and when the last one
-closes only live clauses remain stored.  The property test checks the
-answers against a reference store that never frees anything.
+closes only live clauses remain stored.  The property tests check the
+answers against a reference store that never frees anything, of a store
+and of a fork, which must also leave the store it came from as it was.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from rulebots.logic import Engine, Int, iter_list, read_term
+from rulebots.agents.actions import register_action_natives
+from rulebots.agents.minds import ROUND_SCOPED_DYNAMICS, RUNTIME_PRELUDE
+from rulebots.agents.perception import register_perception
+from rulebots.logic import Engine, Int, KnowledgeBase, iter_list, read_term, term_str
 from rulebots.match import ControllerSpec, MatchConfig
 from rulebots.match.match import build_match
 from rulebots.match.round import run_round
@@ -33,6 +37,10 @@ def p123() -> Engine:
     e = Engine(output=lambda s: None)
     e.consult("p(1). p(2). p(3).")
     return e
+
+
+def fork_of(e: Engine) -> Engine:
+    return Engine(e.kb.fork(), output=lambda s: None)
 
 
 # -- bounded store ------------------------------------------------------------
@@ -118,6 +126,92 @@ def test_store_holds_only_live_clauses_after_the_last_close():
     assert stored_and_live(e) == (2, 2)
 
 
+# -- forks share clauses until they write ------------------------------------
+
+
+def full_stack_minds(seed: int) -> dict:
+    side = ControllerSpec("scripted", FULL_STACK)
+    return build_match(MatchConfig(map_name="warehouse", seed=seed, rounds=1, ct=side, t=side))[2]
+
+
+def answers(engine: Engine, query: str, name: str) -> list[str]:
+    return [term_str(sol[name]) for sol in engine.run(query)]
+
+
+def test_a_mind_writing_a_consulted_predicate_changes_no_other_mind():
+    minds = full_stack_minds(1)
+    writer = minds[0].engine
+    generation = writer.kb.generation
+    assert writer.prove(goal("retract(rifle_price(_)), assertz(slot_pref(0, flank))"))
+    assert answers(writer, "rifle_price(P)", "P") == []
+    assert answers(writer, "slot_pref(0, T)", "T") == ["rush", "flank"]
+    # every other mind, of this build and the next, moves its generation
+    # past the writer's before it looks, so a clause the writer added to a
+    # list they share would be visible
+    others = sorted(minds.items())[1:] + sorted(full_stack_minds(1).items())
+    for bot_id, mind in others:
+        assert mind.engine.kb.generation == generation, bot_id
+        assert mind.engine.prove(goal("assertz(voted(0)), assertz(voted(1))"))
+        assert answers(mind.engine, "rifle_price(P)", "P") == ["800"], bot_id
+        assert answers(mind.engine, "slot_pref(0, T)", "T") == ["rush"], bot_id
+
+
+def test_a_minds_store_holds_what_consulting_its_stack_would(full_stack):
+    # the store a mind built for itself before stores were shared
+    kb = KnowledgeBase()
+    register_perception(kb, None, None)
+    register_action_natives(kb, None)
+    for name, arity in ROUND_SCOPED_DYNAMICS:
+        kb.declare_dynamic(name, arity)
+    kb.consult(RUNTIME_PRELUDE)
+    for pkg in full_stack:
+        for name, arity in pkg.dynamics:
+            kb.declare_dynamic(name, arity)
+    for pkg in full_stack:
+        kb.consult(pkg.text)
+
+    def lifetimes(store):
+        return {key: [(c.template, c.birth, c.death) for c in pred.clauses]
+                for key, pred in store._preds.items()}
+
+    for mind in full_stack_minds(2).values():
+        assert mind.engine.kb.generation == kb.generation
+        assert lifetimes(mind.engine.kb) == lifetimes(kb)
+        assert mind.engine.kb.natives.keys() == kb.natives.keys()
+
+
+def test_a_stream_on_a_shared_predicate_keeps_its_snapshot_across_the_first_write():
+    source = p123()
+    fork, sibling = fork_of(source), fork_of(source)
+    goal_x, names = read_term("p(X)")
+    stream = fork.solve(goal_x, names)
+    assert stream.next_solution()["X"] == Int(1)
+    assert fork.prove(goal("retract(p(2)), assertz(p(4))"))
+    assert ints(stream) == [2, 3]
+    assert ints(fork.run("p(X)")) == [1, 3, 4]
+    assert ints(sibling.run("p(X)")) == ints(source.run("p(X)")) == [1, 2, 3]
+
+
+def test_a_fork_frees_its_dead_clauses_when_its_last_stream_closes():
+    source = p123()
+    fork = fork_of(source)
+    goal_x, names = read_term("p(X)")
+    stream = fork.solve(goal_x, names)
+    fork.kb.retract_all("p", 1)
+    assert stored_and_live(fork) == (3, 0)
+    assert ints(stream) == [1, 2, 3]
+    assert stored_and_live(fork) == (0, 0)
+    assert stored_and_live(source) == (3, 3)
+
+
+def test_a_source_written_after_its_fork_leaves_the_fork_alone():
+    source = p123()
+    fork = fork_of(source)
+    assert source.prove(goal("retract(p(1)), asserta(p(0))"))
+    assert ints(source.run("p(X)")) == [0, 2, 3]
+    assert ints(fork.run("p(X)")) == [1, 2, 3]
+
+
 # -- property: answers match a store that never frees ------------------------
 
 
@@ -176,12 +270,29 @@ def update_text(op, value) -> str:
     return f"{op}(p({'_' if value is None else value}))"
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(VALUES, max_size=4), st.lists(OPS, max_size=30))
-def test_answers_match_a_store_that_never_frees(initial, ops):
+def p_engine(initial) -> Engine:
     e = Engine(output=lambda s: None)
     e.kb.declare_dynamic("p", 1)
     e.consult("".join(f"p({v}). " for v in initial))
+    return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(VALUES, max_size=4), st.lists(OPS, max_size=30))
+def test_answers_match_a_store_that_never_frees(initial, ops):
+    check_against_reference(p_engine(initial), initial, ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(VALUES, max_size=4), st.lists(OPS, max_size=30))
+def test_a_fork_answers_as_a_store_of_its_own_and_leaves_its_source_intact(initial, ops):
+    source = p_engine(initial)
+    check_against_reference(fork_of(source), initial, ops)
+    assert ints(source.run("p(X)")) == initial
+    assert stored_and_live(source) == (len(initial), len(initial))
+
+
+def check_against_reference(e: Engine, initial, ops):
     ref = ReferenceStore(initial)
     goal_x, names = read_term("p(X)")
     streams = []  # (engine stream, answers the reference still owes it)

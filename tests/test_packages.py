@@ -3,8 +3,9 @@
 import pytest
 
 import support
+from rulebots.agents import make_mind
 from rulebots.agents.actions import split_opts
-from rulebots.logic import TermTypeError, reader
+from rulebots.logic import KnowledgeBase, NotPermittedError, TermTypeError, reader
 from rulebots.logic.database import BUILTINS
 from rulebots.match import ControllerSpec, MatchConfig, cli
 from rulebots.match.match import build_match
@@ -337,21 +338,42 @@ def test_shipped_stack_validates_clean():
 
 
 def test_rebuilding_a_full_stack_match_parses_nothing(monkeypatch):
-    # the validator and every mind's consult share one parse per text, and
-    # both sides and every build share one map parse and one validation
+    # the validator and every mind's store share one parse per text, both
+    # sides and every build share one map parse, one validation and one
+    # clause store, and the two sides of a mirrored pairing read one stack
     full = ControllerSpec("scripted", ("baseline", "cs_rules", "warehouse_tactics"))
     config = MatchConfig(map_name="warehouse", seed=0, rounds=1, ct=full, t=full)
     first, _, _ = build_match(config)
     calls = []
-    for original in (reader.read_program, parse_map, validate_stack):
-        def counting(*args, original=original):
-            calls.append(original.__name__)
-            return original(*args)
 
-        support.patch_everywhere(monkeypatch, original, counting)
+    def counting(original, name):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for original in (reader.read_program, parse_map, validate_stack):
+        support.patch_everywhere(monkeypatch, original, counting(original, original.__name__))
+    for name in ("consult", "_store"):
+        monkeypatch.setattr(KnowledgeBase, name, counting(getattr(KnowledgeBase, name), name))
+    loads = []
+    support.patch_everywhere(monkeypatch, load_package,
+                             lambda spec: loads.append(spec) or load_package(spec))
     second, _, _ = build_match(config)
     assert calls == []
+    assert loads == list(full.packages)
     assert second.map is first.map
+
+
+def test_a_stack_defining_a_native_is_refused_on_every_build():
+    stack = [GAME, pkg("spy", "map_type", "team(0, ct).\n")]
+    messages = []
+    for _ in range(3):
+        with pytest.raises(NotPermittedError) as info:
+            make_mind("scripted", support.line_world(), 0, [], stack)
+        messages.append(str(info.value))
+    assert messages == ["cannot define native predicate team/2"] * 3
 
 
 # -- validation once per distinct stack ------------------------------------

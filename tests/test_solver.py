@@ -355,6 +355,23 @@ def test_native_answers_unify_against_all_args():
     assert e.run("pair(2, X)") == []
 
 
+@pytest.mark.parametrize(
+    "answers, query, solutions",
+    [
+        ([(Atom("a"), Atom("b"))], "twice(X, X)", []),
+        ([(Atom("a"), Atom("a"))], "twice(X, X)", [Atom("a")]),
+        ([(Atom("a"), Atom("a"))], "X = b, twice(X, X)", []),
+        ([(Int(1), Int(2)), (Int(2), Int(2))], "twice(X, X)", [Int(2)]),
+    ],
+    ids=["differing", "equal", "bound-before", "nondet-undone"],
+)
+def test_native_answer_binds_a_repeated_variable_once(answers, query, solutions):
+    kb = KnowledgeBase()
+    kb.register_native("twice", 2, lambda a, b: answers, nondet=len(answers) > 1)
+    e = Engine(kb, output=lambda s: None)
+    assert values(e.run(query), "X") == solutions
+
+
 def test_native_none_means_failure_and_plain_success():
     kb = KnowledgeBase()
     kb.register_native("nope", 0, lambda: None)
